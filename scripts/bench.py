@@ -10,56 +10,51 @@ implementations and verifies bit-identical results:
 2. Full ``tune()`` on TPC-H and JOB, optimized (engine + evaluator
    caches on, bitmask DP) vs reference (all caches off, reference DP),
    asserting byte-identical ``TuningResult`` fingerprints.
-3. Parallel selection: full TPC-H tune with ``--workers`` pool workers
-   vs serial, under a latency-realistic engine (``realtime_factor``
-   restores the waiting-on-the-DBMS cost structure the simulation
-   otherwise compresses away).  Exits non-zero unless the parallel
-   ``TuningResult`` fingerprints are byte-identical to the serial one.
-4. Workload compile cache: ``compile_workload`` memoized vs recomputed.
-5. Fault-injection overhead: the engine fault hooks are always compiled
+3. Workload compile cache: ``compile_workload`` memoized vs recomputed.
+4. Fault-injection overhead: the engine fault hooks are always compiled
    in; with no :class:`FaultPlan` installed the tuned ``best_time`` must
    stay within 2% of the committed ``BENCH_2.json`` value (it is in fact
    bit-identical -- the hook is one ``is None`` check), and a chaos tune
-   with a crash plan must quarantine identically in serial and
-   ``--workers`` process-pool modes.
-6. Crash-safe sessions: a journaled TPC-H tune must fingerprint
+   with a crash plan must quarantine the crashed candidates and return
+   the best survivor.
+5. Crash-safe sessions: a journaled TPC-H tune must fingerprint
    byte-identically to an unjournaled one, its selection time must stay
    within 2% of the committed ``BENCH_3.json`` value, and a resume from
    a truncated journal must reproduce the identical result; the
    wall-clock journaling overhead (append + fsync) is reported.
-7. Persistent artifact cache: a full TPC-H tune against a cold
+6. Persistent artifact cache: a full TPC-H tune against a cold
    content-addressed disk cache vs a warm one (fresh process-equivalent
    cache instance, so every artifact is re-read and re-verified from
    disk).  The warm tune must be ≥3x faster than the cold one, the
    fingerprints byte-identical to the uncached run, and the selection
    time within 2% of the committed ``BENCH_4.json`` value.
-8. Batched multi-workload tuning: ``tune_many`` over three overlapping
+7. Batched multi-workload tuning: ``tune_many`` over three overlapping
    TPC-H jobs sharing one artifact cache vs three isolated cold runs;
    shared must be faster and every fingerprint byte-identical to the
    serial no-cache reference.
-9. Planning throughput: the batched numpy planner
+8. Planning throughput: the batched numpy planner
    (``Planner.plan_many``) vs the retained scalar reference over
    SF100-scale synthetic workloads of 200 / 1000 / 2000 queries (plus
    TPC-H SF100 for reference).  Every plan tree must match the scalar
    planner node-for-node (repr-exact, so bit-identical floats) and the
    batched path must be ≥5x faster on workloads of ≥1000 queries; the
    script refuses to write the report otherwise.
-10. Evaluator throughput: the segment-batched ``evaluate`` (whole
-    index-stable segments through ``engine.execute_many``) vs the
-    retained scalar per-query loop over SF100-scale synthetic workloads
-    of 500 / 2000 queries.  The batched ``ConfigMeta`` must match the
-    scalar one ``repr``-exactly (every float bit-for-bit), the batched
-    path must be ≥5x faster at ≥2000 queries, and the tuned TPC-H
-    ``best_time`` must stay within 2% of the committed ``BENCH_6.json``
-    value; the script refuses to write the report otherwise.
-11. Tuning-as-a-service throughput: K TPC-H jobs (distinct seeds)
+9. Evaluator throughput: the segment-batched ``evaluate`` (whole
+   index-stable segments through ``engine.execute_many``) vs the
+   retained scalar per-query loop over SF100-scale synthetic workloads
+   of 500 / 2000 queries.  The batched ``ConfigMeta`` must match the
+   scalar one ``repr``-exactly (every float bit-for-bit), the batched
+   path must be ≥5x faster at ≥2000 queries, and the tuned TPC-H
+   ``best_time`` must stay within 2% of the committed ``BENCH_6.json``
+   value; the script refuses to write the report otherwise.
+10. Tuning-as-a-service throughput: K TPC-H jobs (distinct seeds)
     submitted to a multi-tenant ``TuningServer`` (worker pool + shared
     artifact cache + write-ahead journals) vs the same K jobs as
     sequential isolated ``tune()`` calls.  The served jobs must be ≥2x
     faster end-to-end, every fingerprint byte-identical to the
     sequential reference, and the tuned TPC-H ``best_time`` within 2%
     of the committed ``BENCH_7.json`` value.
-12. Multi-objective tuning: a budget-constrained TPC-H tune
+11. Multi-objective tuning: a budget-constrained TPC-H tune
     (``ram=32GB,disk=100GB``) must quarantine at least one infeasible
     candidate, return a winner whose modelled footprint fits the caps
     (``feasible`` true, with a ``cheapest_tier`` pick), a *generous*
@@ -67,7 +62,7 @@ implementations and verifies bit-identical results:
     (the gate is transparent when it never fires), and the
     unconstrained ``best_time`` must stay within 2% of the committed
     ``BENCH_8.json`` value.
-13. Process scale-out (``scaling``): ``tune_many`` over K CPU-bound
+12. Process scale-out (``scaling``): ``tune_many`` over K CPU-bound
     TPC-H jobs at 1 / 2 / 4 / 8 workers, ``executor="process"`` vs
     ``executor="thread"``.  Every point's fingerprints must be
     byte-identical to the 1-worker serial reference (with and without
@@ -78,7 +73,7 @@ implementations and verifies bit-identical results:
     with ≥4 usable cores the 4-process-worker point must be ≥2.5x
     faster than 1 worker; on smaller hosts the curve is recorded as
     informational (a 1-core host cannot express CPU-bound speedup).
-14. Optionally consumes ``pytest-benchmark`` stats from
+13. Optionally consumes ``pytest-benchmark`` stats from
     ``benchmarks/test_perf_scheduler.py`` via ``--benchmark-json``.
 
 Regression gate: if a committed ``BENCH_9.json`` (or, failing that,
@@ -97,7 +92,7 @@ given explicitly.
 Writes the combined report to ``BENCH_10.json`` (or ``--output``):
 
     PYTHONPATH=src python scripts/bench.py
-    PYTHONPATH=src python scripts/bench.py --skip-pytest --quick --workers 2
+    PYTHONPATH=src python scripts/bench.py --skip-pytest --quick
 """
 
 from __future__ import annotations
@@ -273,67 +268,6 @@ def tune_benchmark(workload_name: str, rounds: int) -> dict:
     }
 
 
-# -- parallel selection -------------------------------------------------------
-
-
-def _parallel_tune(workload, workers: int, realtime_factor: float):
-    """One full tune with ``workers`` pool workers; returns print+seconds.
-
-    ``realtime_factor`` converts simulated seconds into real engine-side
-    waits, restoring the waiting-on-the-DBMS cost structure that makes
-    overlapping evaluations worthwhile; the waits never touch the
-    virtual clock, so the TuningResult is unaffected.
-    """
-    from repro.llm import SimulatedLLM
-
-    options = LambdaTuneOptions(
-        num_configs=16,
-        token_budget=400,
-        initial_timeout=0.5,
-        alpha=2.0,
-        seed=9,
-        workers=workers,
-        executor="process",
-    )
-    engine = PostgresEngine(workload.catalog)
-    engine.realtime_factor = realtime_factor
-    tuner = LambdaTune(engine, SimulatedLLM(), options)
-    start = time.perf_counter()
-    result = tuner.tune(list(workload.queries))
-    elapsed = time.perf_counter() - start
-    return _fingerprint(result), elapsed
-
-
-def parallel_benchmark(workers: int, realtime_factor: float) -> dict:
-    workload = tpch_workload()
-    # Warm the shared per-catalog caches once (no waits) so every timed
-    # run -- and the fork-started workers, which inherit the parent's
-    # memory -- sees the same cache regime.
-    _parallel_tune(workload, 0, 0.0)
-
-    serial_print, serial_s = _parallel_tune(workload, 0, realtime_factor)
-    report = {
-        "num_configs": 16,
-        "realtime_factor": realtime_factor,
-        "serial_s": round(serial_s, 4),
-        "best_time": serial_print["best_time"],
-    }
-    for count in sorted({2, workers} - {0, 1}):
-        parallel_print, parallel_s = _parallel_tune(
-            workload, count, realtime_factor
-        )
-        if parallel_print != serial_print:
-            raise SystemExit(
-                f"parallel selection (workers={count}) diverged from serial"
-            )
-        report[f"workers={count}"] = {
-            "wall_s": round(parallel_s, 4),
-            "speedup": round(serial_s / parallel_s, 2),
-            "result_identical": True,
-        }
-    return report
-
-
 # -- workload compile cache ---------------------------------------------------
 
 
@@ -411,17 +345,12 @@ def regression_gate(tune_report: dict) -> dict:
 # -- fault-injection overhead -------------------------------------------------
 
 
-def _chaos_tune(workload, plan, workers: int):
-    """One full tune with a fault plan installed; process pool if workers>1."""
+def _chaos_tune(workload, plan):
+    """One full tune with a fault plan installed."""
     from repro.llm import SimulatedLLM
 
     options = LambdaTuneOptions(
-        token_budget=400,
-        initial_timeout=0.5,
-        alpha=2.0,
-        seed=9,
-        workers=workers,
-        executor="process",
+        token_budget=400, initial_timeout=0.5, alpha=2.0, seed=9
     )
     engine = PostgresEngine(workload.catalog)
     engine.install_faults(plan)
@@ -429,7 +358,7 @@ def _chaos_tune(workload, plan, workers: int):
     return _fingerprint(tuner.tune(list(workload.queries)))
 
 
-def fault_overhead_benchmark(tune_report: dict, workers: int, repeats: int) -> dict:
+def fault_overhead_benchmark(tune_report: dict, repeats: int) -> dict:
     """Overhead + correctness of the engine fault hooks.
 
     Gate 1 (inert hooks): the ``full_tune`` numbers above already ran
@@ -437,10 +366,9 @@ def fault_overhead_benchmark(tune_report: dict, workers: int, repeats: int) -> d
     ``best_time`` must be within 2% of the committed ``BENCH_2.json``
     value (exit non-zero otherwise).
 
-    Gate 2 (chaos equivalence): a TPC-H tune with a crash plan that
-    kills ≥1 candidate must quarantine it, return the best surviving
-    configuration, and fingerprint identically in serial and
-    ``--workers`` process-pool modes.
+    Gate 2 (chaos quarantine): a TPC-H tune with a crash plan that
+    kills ≥1 candidate must quarantine it and return the best surviving
+    configuration.
     """
     from repro.faults import ENGINE_QUERY_CRASH, FaultPlan
 
@@ -497,28 +425,20 @@ def fault_overhead_benchmark(tune_report: dict, workers: int, repeats: int) -> d
         ),
     }
 
-    # Chaos equivalence: seed 0 at density 0.02 crashes the candidates
+    # Chaos quarantine: seed 0 at density 0.02 crashes the candidates
     # that would otherwise win the TPC-H tune (see tests/faults).
     plan = FaultPlan(seed=0, density=0.02, sites={ENGINE_QUERY_CRASH})
-    serial_print = _chaos_tune(workload, plan, 0)
-    parallel_print = _chaos_tune(workload, plan, max(2, workers))
-    if serial_print != parallel_print:
-        raise SystemExit(
-            f"chaos tune (workers={max(2, workers)}) diverged from serial; "
-            f"replay: {plan!r}"
-        )
-    if not serial_print["failed_configs"]:
+    chaos_print = _chaos_tune(workload, plan)
+    if not chaos_print["failed_configs"]:
         raise SystemExit(f"chaos tune quarantined nothing; replay: {plan!r}")
-    if serial_print["best_config"] in serial_print["failed_configs"]:
+    if chaos_print["best_config"] in chaos_print["failed_configs"]:
         raise SystemExit("chaos tune returned a quarantined configuration")
     report["chaos_quarantine"] = {
         "plan": repr(plan),
-        "failed_configs": serial_print["failed_configs"],
-        "best_config": serial_print["best_config"],
-        "best_time": serial_print["best_time"],
-        "fallback": serial_print["fallback"],
-        "serial_parallel_identical": True,
-        "workers": max(2, workers),
+        "failed_configs": chaos_print["failed_configs"],
+        "best_config": chaos_print["best_config"],
+        "best_time": chaos_print["best_time"],
+        "fallback": chaos_print["fallback"],
     }
     return report
 
@@ -1302,7 +1222,7 @@ def scaling_benchmark(jobs: int = 8) -> dict:
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.core.parallel import ensure_pool_env, preferred_mp_context
+    from repro.core.batch import ensure_pool_env, preferred_mp_context
     from repro.db.shared_stats import (
         attachment_probe,
         publish_catalog_stats,
@@ -1457,7 +1377,6 @@ SECTIONS = {
     "dp_microbench": dp_microbench,
     "full_tune": tune_benchmark,
     "regression_gate": regression_gate,
-    "parallel_selection": parallel_benchmark,
     "compile_cache": compile_cache_benchmark,
     "fault_injection": fault_overhead_benchmark,
     "sessions": session_benchmark,
@@ -1499,10 +1418,6 @@ def main() -> None:
         help="report destination (default: BENCH_10.json at the repo "
              "root for a full run; subset runs write no file unless "
              "--output is given)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4,
-        help="pool size for the parallel-selection benchmark (default: 4)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -1564,20 +1479,6 @@ def main() -> None:
         print(f"  checked={gate_report['checked']}, no regressions")
         report["regression_gate"] = gate_report
 
-    if "parallel_selection" in selected:
-        print(
-            f"== parallel selection (tpch, k=16, --workers {args.workers}) =="
-        )
-        parallel_report = parallel_benchmark(args.workers, realtime_factor)
-        for label, row in parallel_report.items():
-            if isinstance(row, dict):
-                print(
-                    f"  {label}: {parallel_report['serial_s']:.2f} s -> "
-                    f"{row['wall_s']:.2f} s ({row['speedup']}x), "
-                    f"identical={row['result_identical']}"
-                )
-        report["parallel_selection"] = parallel_report
-
     if "compile_cache" in selected:
         print("== workload compile cache ==")
         compile_report = compile_cache_benchmark(compile_repeats)
@@ -1590,9 +1491,7 @@ def main() -> None:
 
     if "fault_injection" in selected:
         print("== fault-injection overhead + chaos quarantine ==")
-        fault_report = fault_overhead_benchmark(
-            tune_report, args.workers, compile_repeats
-        )
+        fault_report = fault_overhead_benchmark(tune_report, compile_repeats)
         hot = fault_report["execute_hot_path"]
         print(
             f"  execute hot path: {hot['plan_none_ms']:.3f} ms (no plan) vs "
@@ -1602,8 +1501,7 @@ def main() -> None:
         chaos = fault_report["chaos_quarantine"]
         print(
             f"  chaos: quarantined {chaos['failed_configs']}, best survivor "
-            f"{chaos['best_config']}, serial==workers-{chaos['workers']}: "
-            f"{chaos['serial_parallel_identical']}"
+            f"{chaos['best_config']}"
         )
         report["fault_injection"] = fault_report
 

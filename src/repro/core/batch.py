@@ -12,18 +12,19 @@ invocation.
 
 Two batch executors drive the jobs.  ``executor="thread"`` (default)
 fits wall-clock dominated by engine waits under a positive
-``realtime_factor`` -- sleeps release the GIL, the same property the
-PR-2 parallel selector exploits -- and all jobs see the same cache
-object without serialization.  ``executor="process"`` fits CPU-bound
-batches (``realtime_factor=0``): worker processes rebuild each job's
-engine/LLM from the pickled :class:`BatchJob` spec, share the on-disk
-artifact cache via the pool initializer, and attach the parent's
-published shared-memory :class:`~repro.db.catalog_stats.CatalogStats`
-instead of rebuilding them (:mod:`repro.db.shared_stats`).  Either way
-each job can still fan its own candidate evaluation over worker
-processes via ``LambdaTuneOptions(workers=..., executor=...)``; the
-round-based control flow inside each job is the unchanged PR-4
-``RoundDriver`` machinery.
+``realtime_factor`` -- sleeps release the GIL -- and all jobs see the
+same cache object without serialization.  ``executor="process"`` fits
+CPU-bound batches (``realtime_factor=0``): worker processes rebuild each
+job's engine/LLM from the pickled :class:`BatchJob` spec, share the
+on-disk artifact cache via the pool initializer, and attach the
+parent's published shared-memory
+:class:`~repro.db.catalog_stats.CatalogStats` instead of rebuilding them
+(:mod:`repro.db.shared_stats`).  Inside each job, Algorithm 2 evaluates
+one candidate at a time on the job's own engine (the serial
+``RoundDriver`` of :mod:`repro.core.rounds`): jobs are the unit of
+parallelism.  The pool helpers here (:func:`ensure_pool_env`,
+:func:`preferred_mp_context`, :func:`_init_batch_worker`) also back the
+service's process executor.
 
 :class:`BatchJob` doubles as the execution recipe for the service layer
 (:mod:`repro.service`): its :meth:`~BatchJob.build_engine` /
@@ -42,13 +43,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.cache import (
-    CACHE_DIR_ENV,
-    ArtifactCache,
-    active_cache,
-    install_cache,
-)
-from repro.core.parallel import ensure_pool_env, preferred_mp_context
+from repro.cache import ArtifactCache, active_cache, install_cache
 from repro.core.result import TuningResult
 from repro.core.tuner import LambdaTune, LambdaTuneOptions
 from repro.db import engine as engine_module
@@ -58,8 +53,7 @@ from repro.llm.client import LLMClient
 from repro.workloads.base import Workload
 from repro.workloads.compile import make_engine
 
-#: Batch-level executors: how *jobs* are distributed (distinct from the
-#: per-job candidate-evaluation executor in ``LambdaTuneOptions``).
+#: Batch-level executors: how *jobs* are distributed.
 BATCH_EXECUTORS = ("thread", "process")
 
 
@@ -182,12 +176,49 @@ def _run_job(job: BatchJob) -> TuningResult:
 # -- process-pool plumbing ----------------------------------------------------
 
 
+def ensure_pool_env() -> None:
+    """Pin child-process environment before a process pool is created.
+
+    Under the ``spawn`` start method worker processes re-import ``repro``
+    from scratch, so the interpreter they run must (a) find the package
+    -- ``PYTHONPATH`` gains the directory containing ``repro`` -- and
+    (b) hash strings the same way every run -- ``PYTHONHASHSEED`` is
+    pinned (to its current value, or 0 when unset/random).  Mutating
+    ``os.environ`` is inherited by children; the parent's own hashing
+    was fixed at startup and is unaffected.
+    """
+    import repro
+
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    existing = os.environ.get("PYTHONPATH", "")
+    if src_dir not in existing.split(os.pathsep):
+        os.environ["PYTHONPATH"] = (
+            src_dir + os.pathsep + existing if existing else src_dir
+        )
+    hash_seed = os.environ.get("PYTHONHASHSEED", "")
+    if not hash_seed or hash_seed == "random":
+        os.environ["PYTHONHASHSEED"] = "0"
+
+
+def preferred_mp_context():
+    """The multiprocessing context process pools should use.
+
+    ``fork`` when available (shares the already-imported interpreter
+    state: no re-import, no context pickling, much cheaper worker
+    start-up), else ``spawn``.  Shared by ``tune_many(executor=
+    "process")`` and the service's process workers.
+    """
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 @dataclass(slots=True)
 class _BatchWorkerContext:
     """Picklable per-worker setup, shipped once via the pool initializer.
 
-    Mirrors ``core/parallel.py``'s :class:`WorkerContext` discipline:
-    the initializer payload carries everything a worker process needs to
+    The initializer payload carries everything a worker process needs to
     mirror the parent's environment -- the shared on-disk artifact cache
     root, the zero-copy catalog refs, and the cache regime flag.
     """
@@ -201,10 +232,6 @@ def _init_batch_worker(ctx: _BatchWorkerContext) -> None:
     """Process-pool initializer: cache + shared catalogs, once per worker."""
     engine_module.CACHES_ENABLED = ctx.caches_enabled
     if ctx.cache_root is not None:
-        # Both channels on purpose: install_cache for this interpreter,
-        # the env var so any grandchild pool a job spawns (per-job
-        # candidate workers) initializes from LAMBDA_TUNE_CACHE_DIR too.
-        os.environ[CACHE_DIR_ENV] = ctx.cache_root
         install_cache(ArtifactCache(ctx.cache_root))
     if ctx.shared_refs:
         from repro.db.shared_stats import register_shared_refs

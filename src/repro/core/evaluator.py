@@ -109,22 +109,6 @@ class ConfigurationEvaluator:
         # query-name tuple + config signature + engine signature -> order
         self._order_cache: dict[tuple, list[str]] = {}
 
-    def worker_options(self) -> dict[str, object]:
-        """Constructor options mirroring this evaluator onto a worker engine.
-
-        The parallel selector builds one evaluator per pool worker; these
-        options make the worker evaluator behaviorally identical (same
-        scheduler/laziness/clustering regime, same cache policy).
-        """
-        return {
-            "use_scheduler": self._use_scheduler,
-            "lazy_indexes": self._lazy_indexes,
-            "max_dp_input": self._max_dp_input,
-            "cluster_seed": self._cluster_seed,
-            "enable_caches": self._enable_caches,
-            "budget": self._budget,
-        }
-
     # -- resource feasibility ---------------------------------------------------------
 
     def _check_budget(self, config: Configuration) -> None:
@@ -135,8 +119,7 @@ class ConfigurationEvaluator:
         same quarantine path as inapplicable scripts.  The footprint is a
         pure function of (engine class, hardware, catalog, settings,
         indexes), and the check runs *before* any settings are applied,
-        so serial and worker evaluations fail identically with zero
-        clock advance.
+        so an infeasible candidate fails with zero clock advance.
         """
         if self._budget is None:
             return

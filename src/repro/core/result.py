@@ -50,11 +50,10 @@ class TuningResult:
 
         Floats are rendered with ``repr`` (shortest round-trip form), so
         two results fingerprint equal iff their floats are bit-identical
-        -- the equality the determinism, parallel-equivalence, and
-        crash-resume guarantees are stated in.  Per-configuration
-        ``meta`` records are included when present in ``extras``;
-        execution bookkeeping (e.g. parallel merge stats) is not part of
-        result identity and is excluded.
+        -- the equality the determinism, executor-equivalence, and
+        crash-resume guarantees are stated in.  Of ``extras``, only the
+        per-configuration ``meta`` records, the round count, the failed
+        configurations and the fallback flag are part of result identity.
         """
         meta = self.extras.get("meta", {})
         return {

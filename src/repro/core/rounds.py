@@ -1,10 +1,8 @@
-"""The Algorithm-2 round-driver: one selection state machine, two executors.
+"""The Algorithm-2 round driver: one selection state machine.
 
 This module is the *single* home of the paper's configuration-selection
-control flow (§4, Algorithm 2).  Serial and parallel selection used to
-carry hand-synchronized copies of the round loop; they are now two
-:class:`ExecutionStrategy` implementations driven over one explicit,
-serializable :class:`SelectionState`:
+control flow (§4, Algorithm 2), driven over one explicit, serializable
+:class:`SelectionState`:
 
 - the quarantine filter (failed candidates drop out of every later
   round),
@@ -19,10 +17,15 @@ through :mod:`repro.session.codec`, and the driver accepts a
 :class:`RoundCursor` to continue a selection mid-phase -- the mechanism
 crash-safe tuning sessions (:mod:`repro.session`) are built on.
 
-Both execution strategies reach query execution through
-``ConfigurationEvaluator.evaluate``, which runs each index-stable
-segment of the scheduled order in one batched ``execute_many`` call
-(scalar per-query reference retained behind
+Candidates are evaluated one at a time, as the paper specifies: knob
+settings apply to the whole DBMS instance, so two candidates cannot be
+measured on it at once.  Concurrency lives one level up, across
+independent tuning jobs (:func:`repro.core.batch.tune_many` and
+:class:`repro.service.TuningServer`).
+
+Query execution goes through ``ConfigurationEvaluator.evaluate``, which
+runs each index-stable segment of the scheduled order in one batched
+``execute_many`` call (scalar per-query reference retained behind
 ``repro.db.planner.VECTORIZED_ENABLED``); the Update timeouts threaded
 from here are consumed by the batch's prefix-sum cut bit-identically
 to the scalar subtraction loop.
@@ -65,14 +68,6 @@ class SelectionResult:
     rounds: int
     #: (clock time, best completed workload time) trace for plots.
     trace: list[tuple[float, float]] = field(default_factory=list)
-    #: Parallel merge accounting (folded/recomputed/skipped/inline).
-    #: Execution bookkeeping, never part of result identity: a resumed
-    #: run legitimately folds fewer outcomes than an uninterrupted one.
-    stats: dict[str, int] = field(default_factory=dict)
-
-
-def new_stats() -> dict[str, int]:
-    return {"folded": 0, "recomputed": 0, "skipped": 0, "inline": 0}
 
 
 @dataclass(slots=True)
@@ -82,11 +77,9 @@ class SelectionState:
     Everything the round loop reads or writes lives here: the current
     round timeout, the round counter, the per-configuration
     :class:`ConfigMeta` table, the running best, the convergence trace,
-    the candidates earmarked for the final pass, and the parallel merge
-    statistics.  Transitions are expressed as methods so the serial and
-    parallel executors cannot drift apart, and the whole object
-    round-trips through :mod:`repro.session.codec` for
-    checkpoint/resume.
+    and the candidates earmarked for the final pass.  Transitions are
+    methods that touch nothing but this object, and the whole object
+    round-trips through :mod:`repro.session.codec` for checkpoint/resume.
     """
 
     timeout: float
@@ -97,7 +90,6 @@ class SelectionState:
     #: Names of the remaining candidates once a first configuration
     #: completes (``None`` until then).
     candidates: list[str] | None = None
-    stats: dict[str, int] = field(default_factory=new_stats)
 
     @classmethod
     def initial(
@@ -168,7 +160,6 @@ class SelectionState:
             meta=self.meta,
             rounds=self.rounds,
             trace=self.trace,
-            stats=self.stats,
         )
 
 
@@ -263,67 +254,8 @@ class TuningObserver:
 NULL_OBSERVER = TuningObserver()
 
 
-class ExecutionStrategy:
-    """How one phase's Update calls are executed (serial or pooled).
-
-    ``offset`` is the starting position within the phase's canonical
-    order -- non-zero only when a :class:`RoundCursor` resumed the phase
-    mid-way -- and keeps journaled ``update_folded`` positions aligned
-    with the order recorded by the phase's ``round_started`` event.
-    """
-
-    def begin(
-        self,
-        driver: "RoundDriver",
-        workload: list[Query],
-        state: SelectionState,
-    ) -> None:
-        self.driver = driver
-
-    def run_round(
-        self,
-        ordered: list[Configuration],
-        offset: int,
-        workload: list[Query],
-        state: SelectionState,
-        observer: TuningObserver,
-    ) -> Configuration | None:
-        """Evaluate one main round; stop at (and return) the first
-        configuration whose update completes the workload."""
-        raise NotImplementedError
-
-    def run_final(
-        self,
-        ordered: list[Configuration],
-        offset: int,
-        workload: list[Query],
-        state: SelectionState,
-        observer: TuningObserver,
-    ) -> None:
-        """Give every remaining candidate its one final chance."""
-        raise NotImplementedError
-
-    def finish(self) -> None:
-        pass
-
-
-class SerialExecution(ExecutionStrategy):
-    """Algorithm 2 exactly as written: one Update at a time."""
-
-    def run_round(self, ordered, offset, workload, state, observer):
-        for position, config in enumerate(ordered, start=offset):
-            self.driver.update(config, workload, state, observer, position)
-            if state.meta[config.name].is_complete:
-                return config
-        return None
-
-    def run_final(self, ordered, offset, workload, state, observer) -> None:
-        for position, config in enumerate(ordered, start=offset):
-            self.driver.update(config, workload, state, observer, position)
-
-
 class RoundDriver:
-    """Runs Algorithm 2 against a live engine via an execution strategy."""
+    """Runs Algorithm 2 against a live engine, one Update at a time."""
 
     def __init__(
         self,
@@ -352,7 +284,6 @@ class RoundDriver:
         self,
         workload: list[Query],
         configs: list[Configuration],
-        strategy: ExecutionStrategy,
         *,
         state: SelectionState | None = None,
         cursor: RoundCursor | None = None,
@@ -370,7 +301,10 @@ class RoundDriver:
         Pass ``state``/``cursor`` (rehydrated from a session journal) to
         continue an interrupted selection: the driver resumes inside the
         cursor's phase at its position and the journaled prefix is never
-        re-executed.
+        re-executed.  ``offset`` below is the starting position within
+        the phase's canonical order -- non-zero only for such a resumed
+        phase -- and keeps journaled ``update_folded`` positions aligned
+        with the order recorded by the phase's ``round_started`` event.
         """
         if not configs:
             raise BudgetExceededError("no candidate configurations to select from")
@@ -379,51 +313,47 @@ class RoundDriver:
         if state is None:
             state = SelectionState.initial(configs, self.initial_timeout)
 
-        strategy.begin(self, workload, state)
-        try:
-            while not state.finished_first:
-                if cursor is not None and cursor.phase == PHASE_ROUNDS:
-                    # Resumed mid-round: the round is already counted
-                    # and journaled; evaluate only its remaining tail.
-                    ordered = cursor.remaining(by_name)
-                    offset = cursor.position
-                    cursor = None
-                else:
-                    active = self.surviving(configs, state.meta)
-                    if not active:
-                        # Every candidate is quarantined; report, don't
-                        # raise.
-                        return state.result()
-                    state.begin_round(self.max_rounds)
-                    ordered = self.by_throughput(active, state.meta)
-                    offset = 0
-                    observer.round_started(
-                        state, PHASE_ROUNDS, [c.name for c in ordered]
-                    )
-                winner = strategy.run_round(
-                    ordered, offset, workload, state, observer
-                )
-                if winner is not None:
-                    state.enter_final_pass(configs, winner)
-                state.advance_timeout(self.alpha, self.adaptive_timeout)
-                observer.round_checkpoint(state, self.engine)
-
-            if cursor is not None and cursor.phase == PHASE_FINAL:
+        while not state.finished_first:
+            if cursor is not None and cursor.phase == PHASE_ROUNDS:
+                # Resumed mid-round: the round is already counted and
+                # journaled; evaluate only its remaining tail.
                 ordered = cursor.remaining(by_name)
                 offset = cursor.position
                 cursor = None
             else:
-                remaining = [by_name[name] for name in state.candidates or []]
-                ordered = self.by_throughput(
-                    self.surviving(remaining, state.meta), state.meta
-                )
+                active = self.surviving(configs, state.meta)
+                if not active:
+                    # Every candidate is quarantined; report, don't raise.
+                    return state.result()
+                state.begin_round(self.max_rounds)
+                ordered = self.by_throughput(active, state.meta)
                 offset = 0
                 observer.round_started(
-                    state, PHASE_FINAL, [c.name for c in ordered]
+                    state, PHASE_ROUNDS, [c.name for c in ordered]
                 )
-            strategy.run_final(ordered, offset, workload, state, observer)
-        finally:
-            strategy.finish()
+            # A round stops at the first configuration whose Update
+            # completes the workload.
+            for position, config in enumerate(ordered, start=offset):
+                self.update(config, workload, state, observer, position)
+                if state.meta[config.name].is_complete:
+                    state.enter_final_pass(configs, config)
+                    break
+            state.advance_timeout(self.alpha, self.adaptive_timeout)
+            observer.round_checkpoint(state, self.engine)
+
+        if cursor is not None and cursor.phase == PHASE_FINAL:
+            ordered = cursor.remaining(by_name)
+            offset = cursor.position
+        else:
+            remaining = [by_name[name] for name in state.candidates or []]
+            ordered = self.by_throughput(
+                self.surviving(remaining, state.meta), state.meta
+            )
+            offset = 0
+            observer.round_started(state, PHASE_FINAL, [c.name for c in ordered])
+        # Every remaining candidate gets its one final chance.
+        for position, config in enumerate(ordered, start=offset):
+            self.update(config, workload, state, observer, position)
 
         return state.result()
 
@@ -435,30 +365,19 @@ class RoundDriver:
         workload: list[Query],
         state: SelectionState,
         observer: TuningObserver,
-        position: int = -1,
+        position: int,
     ) -> None:
         meta = state.meta[config.name]
         if meta.failed:
             return
-        if meta.is_complete and not self.pending(workload, meta):
+        pending = self.pending(workload, meta)
+        if meta.is_complete and not pending:
             return
         effective_timeout = self.effective_timeout(state, meta)
         if effective_timeout is None:
             return
 
-        pending = self.pending(workload, meta)
         self.evaluator.evaluate(config, pending, effective_timeout, meta)
-        self.fold(config, meta, state, observer, position)
-
-    def fold(
-        self,
-        config: Configuration,
-        meta: ConfigMeta,
-        state: SelectionState,
-        observer: TuningObserver,
-        position: int,
-    ) -> None:
-        """Fold one finished Update into the state, emitting events."""
         improved = state.fold_update(config, meta, self.engine.clock.now)
         observer.update_folded(config, position, meta, state, self.engine)
         if meta.failed:
@@ -483,7 +402,7 @@ class RoundDriver:
                 return None
         return effective
 
-    # -- shared loop-body helpers ------------------------------------------------
+    # -- loop-body helpers -------------------------------------------------------
 
     @staticmethod
     def surviving(

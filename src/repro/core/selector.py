@@ -1,74 +1,34 @@
 """Configuration selection (paper §4, Algorithm 2).
 
 The selection control flow lives in :mod:`repro.core.rounds` -- one
-round-driver over an explicit :class:`~repro.core.rounds.SelectionState`
--- and the classes here bind it to an execution strategy:
-
-- :class:`ConfigurationSelector` runs the paper's serial algorithm
-  (:class:`~repro.core.rounds.SerialExecution`);
-- :class:`ParallelConfigurationSelector` fans each phase's candidate
-  evaluations over a worker pool
-  (:class:`~repro.core.parallel.ParallelExecution`) with byte-identical
-  results.
-
-Both accept a rehydrated ``state``/``cursor`` pair (see
-:mod:`repro.session`) to continue an interrupted selection exactly where
-it stopped.
+round driver over an explicit :class:`~repro.core.rounds.SelectionState`.
+:class:`ConfigurationSelector` is its public entry point: it accepts a
+rehydrated ``state``/``cursor`` pair (see :mod:`repro.session`) to
+continue an interrupted selection exactly where it stopped.
 """
 
 from __future__ import annotations
 
-from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.config import Configuration
-from repro.core.parallel import ParallelExecution
 from repro.core.rounds import (
     BestConfig,
     RoundCursor,
     RoundDriver,
     SelectionResult,
     SelectionState,
-    SerialExecution,
     TuningObserver,
 )
-from repro.db.engine import DatabaseEngine
 from repro.workloads.base import Query
 
 __all__ = [
     "BestConfig",
     "SelectionResult",
     "ConfigurationSelector",
-    "ParallelConfigurationSelector",
 ]
 
 
-class ConfigurationSelector:
+class ConfigurationSelector(RoundDriver):
     """Runs Algorithm 2 against a live engine, one Update at a time."""
-
-    def __init__(
-        self,
-        engine: DatabaseEngine,
-        evaluator: ConfigurationEvaluator,
-        *,
-        initial_timeout: float = 10.0,
-        alpha: float = 10.0,
-        adaptive_timeout: bool = True,
-        max_rounds: int = 64,
-    ) -> None:
-        self._driver = RoundDriver(
-            engine,
-            evaluator,
-            initial_timeout=initial_timeout,
-            alpha=alpha,
-            adaptive_timeout=adaptive_timeout,
-            max_rounds=max_rounds,
-        )
-
-    @property
-    def driver(self) -> RoundDriver:
-        return self._driver
-
-    def _strategy(self):
-        return SerialExecution()
 
     def select(
         self,
@@ -84,61 +44,6 @@ class ConfigurationSelector:
         See :meth:`repro.core.rounds.RoundDriver.run` for quarantine and
         resume semantics.
         """
-        return self._driver.run(
-            workload,
-            configs,
-            self._strategy(),
-            state=state,
-            cursor=cursor,
-            observer=observer,
-        )
-
-
-class ParallelConfigurationSelector(ConfigurationSelector):
-    """Algorithm 2 with per-round candidate evaluations fanned over a pool.
-
-    Speculate/merge/recompute semantics (and the proof sketch of
-    byte-identity with the serial selector) are documented on
-    :class:`repro.core.parallel.ParallelExecution`.
-    """
-
-    def __init__(
-        self,
-        engine: DatabaseEngine,
-        evaluator: ConfigurationEvaluator,
-        *,
-        workers: int = 0,
-        executor: str = "process",
-        mp_context: str | None = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(engine, evaluator, **kwargs)
-        self._workers = max(1, int(workers))
-        self._executor = executor
-        self._mp_context = mp_context
-        #: Merge accounting for the most recent ``select`` call:
-        #: speculative outcomes folded as-is, outcomes discarded and
-        #: recomputed serially, and Update calls skipped entirely.
-        self.last_stats: dict[str, int] = {}
-
-    def _strategy(self):
-        return ParallelExecution(
-            workers=self._workers,
-            executor=self._executor,
-            mp_context=self._mp_context,
-        )
-
-    def select(
-        self,
-        workload: list[Query],
-        configs: list[Configuration],
-        *,
-        state: SelectionState | None = None,
-        cursor: RoundCursor | None = None,
-        observer: TuningObserver | None = None,
-    ) -> SelectionResult:
-        result = super().select(
+        return self.run(
             workload, configs, state=state, cursor=cursor, observer=observer
         )
-        self.last_stats = result.stats
-        return result

@@ -26,20 +26,12 @@ from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.prompt.template import PromptGenerator
 from repro.core.result import TuningResult
 from repro.core.rounds import NULL_OBSERVER, RoundCursor, SelectionState, TuningObserver
-from repro.core.selector import (
-    ConfigurationSelector,
-    ParallelConfigurationSelector,
-    SelectionResult,
-)
+from repro.core.selector import ConfigurationSelector, SelectionResult
 from repro.db.engine import DatabaseEngine
 from repro.db.resources import ResourceBudget, cheapest_feasible_tier
 from repro.errors import ConfigurationError, LLMError
 from repro.llm.client import LLMClient
 from repro.workloads.base import Query
-
-#: Valid pool flavors for ``LambdaTuneOptions.executor`` (mirrors
-#: :data:`repro.core.parallel._EXECUTOR_KINDS`).
-EXECUTOR_KINDS = ("process", "thread", "serial")
 
 #: Selection labels used in observer events and session journals.
 SELECTION_PRIMARY = "primary"
@@ -80,11 +72,6 @@ class LambdaTuneOptions:
     solver_method: str = "auto"
     #: Base seed for LLM sampling.
     seed: int = 0
-    #: Pool size for parallel configuration selection; 0/1 runs the
-    #: serial Algorithm 2.  Results are byte-identical either way.
-    workers: int = 0
-    #: Pool flavor for ``workers > 1``: process, thread, or serial.
-    executor: str = "process"
     #: Resource budget the recommended configuration must fit under
     #: (peak memory / disk footprint).  ``None`` -- the default -- keeps
     #: the paper's latency-only objective and is bit-identical to a
@@ -93,19 +80,10 @@ class LambdaTuneOptions:
     budget: ResourceBudget | None = None
 
     def __post_init__(self) -> None:
-        # Fail at construction, not rounds deep inside a worker pool.
+        # Fail at construction, not rounds deep inside a tune.
         if self.num_configs < 1:
             raise ConfigurationError(
                 f"num_configs must be at least 1, got {self.num_configs!r}"
-            )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers cannot be negative, got {self.workers!r}"
-            )
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigurationError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_KINDS}"
             )
         if self.budget is not None and not isinstance(self.budget, ResourceBudget):
             raise ConfigurationError(
@@ -251,24 +229,13 @@ class LambdaTune:
             cluster_seed=self.options.seed,
             budget=self.options.budget,
         )
-        if self.options.workers > 1:
-            selector: ConfigurationSelector = ParallelConfigurationSelector(
-                self._engine,
-                evaluator,
-                workers=self.options.workers,
-                executor=self.options.executor,
-                initial_timeout=self.options.initial_timeout,
-                alpha=self.options.alpha,
-                adaptive_timeout=self.options.adaptive_timeout,
-            )
-        else:
-            selector = ConfigurationSelector(
-                self._engine,
-                evaluator,
-                initial_timeout=self.options.initial_timeout,
-                alpha=self.options.alpha,
-                adaptive_timeout=self.options.adaptive_timeout,
-            )
+        selector = ConfigurationSelector(
+            self._engine,
+            evaluator,
+            initial_timeout=self.options.initial_timeout,
+            alpha=self.options.alpha,
+            adaptive_timeout=self.options.adaptive_timeout,
+        )
         return selector.select(
             queries, configs, state=state, cursor=cursor, observer=observer
         )

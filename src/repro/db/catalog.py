@@ -127,14 +127,13 @@ class Catalog:
 
         ``catalog_stats`` caches its :class:`CatalogStats` directly on
         the catalog object; shipping that to a worker process would
-        copy megabytes of float64 arrays per task *and* pre-empt the
+        copy megabytes of float64 arrays per job *and* pre-empt the
         zero-copy shared-memory attach (``repro.db.shared_stats``),
         which only fires on a stats-cache miss.  The view is derived
         state: the far side rebuilds or attaches on demand, bit
         identically.  The warm analysis/plan tiers
         (``engine.shared_catalog_cache``) stay in the pickle on
-        purpose -- shipping them to selection-pool workers is a PR-2
-        perf property.
+        purpose: a process-pool job worker then starts with them warm.
         """
         state = self.__dict__.copy()
         state.pop("_catalog_stats", None)

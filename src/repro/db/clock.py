@@ -68,48 +68,6 @@ class VirtualClock:
         """Seconds elapsed between ``start`` and now."""
         return self._now - start
 
-    def fork(self) -> "VirtualClock":
-        """An independent clock starting at this clock's current time."""
-        return VirtualClock(self._now)
-
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now:.3f})"
 
-
-class RecordingClock(VirtualClock):
-    """A clock that remembers every individual advance.
-
-    The parallel configuration selector runs each candidate on a forked
-    engine whose clock starts at zero; the recorded advance sequence is
-    then replayed verbatim onto the main engine's clock.  Because every
-    simulated duration is independent of the absolute clock value,
-    replaying the per-step durations (rather than adding one lump sum)
-    reproduces the serial float-addition sequence bit for bit.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        super().__init__(start)
-        self.advances: list[float] = []
-
-    def advance(self, seconds: float) -> float:
-        now = super().advance(seconds)
-        self.advances.append(seconds)
-        return now
-
-    def advance_many(self, durations) -> float:
-        """Batched advance that still records *per-element* durations.
-
-        The parallel merge replays recordings one element at a time onto
-        the main clock, so a batched advance on a worker must leave the
-        same recording a per-query loop would -- only the worker-local
-        accumulation is collapsed into one cumsum jump.
-        """
-        values = np.asarray(durations, dtype=np.float64)
-        now = super().advance_many(values)
-        self.advances.extend(float(value) for value in values)
-        return now
-
-    def replay_onto(self, clock: VirtualClock) -> None:
-        """Re-apply the recorded advances, in order, to another clock."""
-        for seconds in self.advances:
-            clock.advance(seconds)

@@ -68,9 +68,9 @@ def shared_catalog_cache(catalog: Catalog, section: str) -> dict:
     Derivations that depend only on catalog content (SQL analysis) or on
     content-hashed state (plans keyed by configuration signature) are
     shared across *all* engines built over the same catalog object: the
-    bench harness builds 14+ engines per scenario and the parallel
-    selector's workers re-create engines per process, all over identical
-    workloads.  The caches live on the catalog instance so they are
+    bench harness builds 14+ engines per scenario and every job of a
+    ``tune_many`` batch builds its own, all over identical workloads.
+    The caches live on the catalog instance so they are
     garbage-collected with it.
     """
     caches = getattr(catalog, "_shared_caches", None)
@@ -136,7 +136,7 @@ class EngineState:
     """Picklable snapshot of an engine's mutable state.
 
     Captures exactly what evaluation can change -- parameter settings,
-    the physical design, and the clock -- so a worker process can
+    the physical design, and the clock -- so a resumed session can
     rebuild a bit-identical engine from ``(catalog, hardware, state)``.
     """
 
@@ -172,9 +172,9 @@ class DatabaseEngine(abc.ABC):
     #: (query execution, index builds, restarts).  0 = pure simulation.
     #: A positive factor restores the real-world cost structure the
     #: simulation compresses away -- on a real DBMS the tuner spends its
-    #: time *waiting* for the server -- which is what the parallel
-    #: selector's workers overlap.  Sleeps never touch the virtual
-    #: clock, so results are bit-identical at any factor.
+    #: time *waiting* for the server -- which is what concurrent jobs in
+    #: ``tune_many`` and the tuning service overlap.  Sleeps never touch
+    #: the virtual clock, so results are bit-identical at any factor.
     realtime_factor: float = 0.0
 
     def __init__(
@@ -889,7 +889,7 @@ class DatabaseEngine(abc.ABC):
         Fault keys combine the work label with the configuration
         signature, so whether a query crashes depends on the candidate
         configuration under evaluation -- the scenario of paper §4 --
-        and decisions are identical in serial and worker processes.
+        and decisions are identical in every process that runs the job.
         """
         plan = self.fault_plan
         key = f"{label}|{self._config_signature:016x}"
@@ -1045,7 +1045,7 @@ class DatabaseEngine(abc.ABC):
             self._signature_cache[key] = signature
         self._config_signature = signature
 
-    # -- fork / restore (parallel selection support) ------------------------------------
+    # -- capture / restore (session checkpoint support) ---------------------------------
 
     def capture_state(self) -> EngineState:
         """Snapshot settings, physical design, and clock (picklable)."""
@@ -1055,44 +1055,17 @@ class DatabaseEngine(abc.ABC):
             clock=self.clock.now,
         )
 
-    def restore_state(
-        self, state: EngineState, *, clock: VirtualClock | None = None
-    ) -> None:
+    def restore_state(self, state: EngineState) -> None:
         """Replace the mutable state with a previously captured one.
 
         Settings are restored verbatim (full replacement, no merge), so
-        a worker engine carries no residue from earlier tasks.  Pass
-        ``clock`` to install a specific clock instance (the parallel
-        workers install a zero-based :class:`RecordingClock`).
+        the engine carries no residue from its earlier state.
         """
         self._config = {name: value for name, value in state.settings}
         self._indexes = {index.key: index for index in state.indexes}
-        self.clock = clock if clock is not None else VirtualClock(state.clock)
+        self.clock = VirtualClock(state.clock)
         self._refresh_settings_text()
         self._refresh_signature()
-
-    def fork(self, *, clock: VirtualClock | None = None) -> "DatabaseEngine":
-        """An independent engine in the same state over the same catalog.
-
-        The fork shares the catalog object (and with it the shared
-        analysis/plan caches) but has its own settings, index set, and
-        clock, so evaluating a candidate configuration on the fork never
-        disturbs this engine.
-        """
-        other = type(self)(self.catalog, self.hardware)
-        other.restore_state(self.capture_state(), clock=clock)
-        other.fault_plan = self.fault_plan
-        return other
-
-    def coerced_settings(self, settings: dict[str, object]) -> dict[str, object]:
-        """Validate and coerce settings exactly as ``apply_config`` would,
-        without applying them (used to predict post-apply engine states).
-        """
-        coerced: dict[str, object] = {}
-        for name, raw in settings.items():
-            knob = self.knob_space.knob(name)
-            coerced[knob.name] = knob.coerce(raw)
-        return coerced
 
     # -- resource accounting -----------------------------------------------------------
 

@@ -17,8 +17,8 @@ or find the cheapest hardware tier that can run it at all
   the same :class:`~repro.solver.model.ILPModel` (and backends) the
   prompt compressor uses.
 
-Everything here is frozen and picklable: budgets travel to parallel
-selection workers inside evaluator options and round-trip through the
+Everything here is frozen and picklable: budgets travel to process-pool
+job workers inside ``LambdaTuneOptions`` and round-trip through the
 session codec.
 """
 

@@ -10,7 +10,8 @@ module publishes the six float64 arrays of a built
 on the host maps the *same* physical pages read-only instead of owning
 a private copy.
 
-Protocol (mirrors ``core/parallel.py``'s picklable-context discipline):
+Protocol (the picklable-context discipline of ``core/batch.py``'s pool
+initializer):
 
 - the parent calls :func:`publish_catalog_stats` over the unique
   catalogs of a batch, getting a :class:`StatsPublication` whose

@@ -43,8 +43,8 @@ class FaultyLLMClient(LLMClient):
         self.max_input_tokens = inner.max_input_tokens
         # Attempt counters per sampling key, so transient faults clear
         # after ``transient_count`` failures.  Counters are the only
-        # mutable state and live purely on the parent process side (the
-        # client is never shipped to selection workers).
+        # mutable state and live with the one job that owns this client
+        # (jobs never share a fault-wrapped client).
         self._attempts: dict[str, int] = {}
 
     def complete(

@@ -13,8 +13,8 @@ digests, so they are:
   ``(seed, site, key)`` triple; :meth:`FaultPlan.single_site` rebuilds
   a plan that reproduces exactly the faults of one site, and
 - **order-independent**: a decision never depends on how many faults
-  fired before it, so serial and parallel selection see identical
-  faults for identical work.
+  fired before it, so a job sees identical faults for identical work
+  whether it runs uninterrupted, resumed, or in a pool worker.
 
 The plan is consulted through three methods only -- :meth:`fires`,
 :meth:`magnitude`, and :meth:`transient_count` -- keeping the hook cost

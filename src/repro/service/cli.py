@@ -61,11 +61,10 @@ def cmd_submit(root: ServiceRoot, args: argparse.Namespace) -> int:
         initial_timeout=args.timeout,
         alpha=args.alpha,
         seed=args.seed,
-        workers=args.job_workers,
         budget=parse_budget(args.budget) if args.budget else None,
     )
     spec = JobSpec(
-        job_id=args.job_id or root.allocate_job_id(),
+        job_id=args.job_id,
         workload=args.workload,
         tenant=args.tenant,
         priority=args.priority,
@@ -73,8 +72,7 @@ def cmd_submit(root: ServiceRoot, args: argparse.Namespace) -> int:
         options=options,
         realtime_factor=args.realtime_factor,
     )
-    root.write_spec(spec)
-    print(spec.job_id)
+    print(root.write_spec(spec).job_id)
     return 0
 
 
@@ -228,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--timeout", type=float, default=10.0,
                         help="initial per-round timeout (simulated seconds)")
     submit.add_argument("--alpha", type=float, default=10.0)
-    submit.add_argument("--job-workers", type=int, default=0,
-                        help="per-job evaluation pool size")
     submit.add_argument("--realtime-factor", type=float, default=0.0)
     submit.add_argument("--job-id", default=None)
     submit.set_defaults(handler=cmd_submit)

@@ -37,12 +37,15 @@ class JobClient:
     ) -> str:
         """Submit one tuning job; returns its job id.
 
+        Without a ``job_id`` the server assigns the next free
+        ``job-NNNN`` id, distinct even under concurrent submits.
+
         Raises :class:`~repro.errors.QuotaExceededError` when the
         tenant's admission quota rejects the job -- nothing is enqueued
         or persisted in that case.
         """
         spec = JobSpec(
-            job_id=job_id or self._server.allocate_job_id(),
+            job_id=job_id,
             workload=workload,
             tenant=tenant,
             priority=priority,

@@ -3,9 +3,10 @@
 A job is described by a :class:`JobSpec` and tracked by a
 :class:`JobRecord`.  Durability is two files under the service root:
 
-- ``jobs/<job_id>.job`` -- the spec, written atomically (tmp file +
-  ``os.replace`` + fsync) *before* the job is admitted to the queue, so
-  an accepted submission survives any later crash;
+- ``jobs/<job_id>.job`` -- the spec, written atomically and exclusively
+  (fsynced tmp file hard-linked into place) *before* the job is admitted
+  to the queue, so an accepted submission survives any later crash and
+  two submitters can never claim one id;
 - ``journals/<job_id>.journal`` -- the PR-4 write-ahead tuning journal,
   which doubles as the job's progress record and, once it holds a
   ``done`` event, its result of record.
@@ -60,7 +61,9 @@ SPEC_VERSION = 1
 class JobSpec:
     """Everything needed to run -- or re-run -- one tuning job."""
 
-    job_id: str
+    #: ``None`` until submitted: :meth:`ServiceRoot.write_spec` then
+    #: claims the next free ``job-NNNN`` id for it.
+    job_id: str | None
     workload: str | Workload
     tenant: str = "default"
     priority: int = 0
@@ -168,19 +171,42 @@ class ServiceRoot:
         )
 
     def allocate_job_id(self) -> str:
-        """The next free ``job-NNNN`` id (sorted = submission order)."""
+        """The next free ``job-NNNN`` id (sorted = submission order).
+
+        A concurrent submitter may claim the same id first; only
+        :meth:`write_spec` claims one.
+        """
         taken = set(self.job_ids())
         number = len(taken)
         while f"job-{number:04d}" in taken:
             number += 1
         return f"job-{number:04d}"
 
-    def write_spec(self, spec: JobSpec) -> Path:
-        """Persist ``spec`` durably; the write-ahead step of submit."""
+    def write_spec(self, spec: JobSpec) -> JobSpec:
+        """Persist ``spec`` durably; the write-ahead step of submit.
+
+        An id that is already taken raises :class:`ServiceError`.  A spec
+        without a ``job_id`` gets the next free ``job-NNNN`` id, moving
+        on to the following one whenever a concurrent submitter (thread
+        or process) claims it first.  Returns the spec as written.
+        """
         self.ensure()
-        path = self.spec_path(spec.job_id)
-        if path.exists():
-            raise ServiceError(f"job id {spec.job_id!r} already exists")
+        if spec.job_id is not None:
+            if not self._publish(spec):
+                raise ServiceError(f"job id {spec.job_id!r} already exists")
+            return spec
+        while True:
+            claimed = replace(spec, job_id=self.allocate_job_id())
+            if self._publish(claimed):
+                return claimed
+
+    def _publish(self, spec: JobSpec) -> bool:
+        """Write ``spec`` unless its id is taken; True if it was written.
+
+        The fsynced temp file is hard-linked to the spec path, and
+        ``os.link`` fails if that path exists: of two writers racing for
+        one id exactly one wins, and neither overwrites the other.
+        """
         payload = {
             "spec_version": SPEC_VERSION,
             "job_id": spec.job_id,
@@ -199,14 +225,16 @@ class ServiceRoot:
                 handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        except OSError:
+            try:
+                os.link(temp_path, self.spec_path(spec.job_id))
+            except FileExistsError:
+                return False
+            return True
+        finally:
             try:
                 os.unlink(temp_path)
             except OSError:
                 pass
-            raise
-        return path
 
     def read_spec(self, job_id: str) -> JobSpec:
         path = self.spec_path(job_id)

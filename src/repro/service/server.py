@@ -38,7 +38,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.cache import ArtifactCache, active_cache, install_cache
@@ -48,10 +48,11 @@ from repro.core.batch import (
     _BatchWorkerContext,
     _check_process_portable,
     _init_batch_worker,
+    ensure_pool_env,
+    preferred_mp_context,
     resume_job,
     run_job,
 )
-from repro.core.parallel import ensure_pool_env, preferred_mp_context
 from repro.core.result import TuningResult
 from repro.db import engine as engine_module
 from repro.errors import (
@@ -177,8 +178,9 @@ class TuningServer:
         Service directory (spec files, journals, leases).  Restarting a
         server over the same root recovers every incomplete job.
     workers:
-        Worker threads.  Each runs one job at a time; per-job
-        parallelism still comes from ``LambdaTuneOptions(workers=...)``.
+        Worker threads.  Each runs one job at a time, and a job
+        evaluates its candidates one at a time (Algorithm 2), so
+        ``workers`` bounds how many jobs tune concurrently.
     executor:
         ``"thread"`` (default) runs job bodies on the worker threads
         themselves.  ``"process"`` keeps the threads for queueing,
@@ -345,36 +347,37 @@ class TuningServer:
             info.name: info
             for info in discover_journals(self.root.journals_dir)
         }
-        for job_id in self.root.job_ids():
-            spec = self.root.read_spec(job_id)
-            record = JobRecord(spec=spec)
-            info = journals.get(job_id)
-            if info is not None and info.complete:
-                record.state = DONE
-                self._register(record, terminal=True)
-            elif self.root.is_cancelled(job_id):
-                record.state = CANCELLED
-                record.resumed = info is not None
-                self._register(record, terminal=True)
-            else:
-                # A journal whose only content is a torn line carries
-                # no intact state: drop it and run from scratch (the
-                # crash predates the first fsync'd event).
-                if info is not None and info.events == 0:
-                    info.path.unlink(missing_ok=True)
-                    info = None
-                record.resumed = info is not None
-                self._register(record, terminal=False)
-                self._queue.submit(record, enforce_quota=False)
+        with self._lock:
+            for job_id in self.root.job_ids():
+                spec = self.root.read_spec(job_id)
+                record = JobRecord(spec=spec)
+                info = journals.get(job_id)
+                if info is not None and info.complete:
+                    record.state = DONE
+                    self._register(record, terminal=True)
+                elif self.root.is_cancelled(job_id):
+                    record.state = CANCELLED
+                    record.resumed = info is not None
+                    self._register(record, terminal=True)
+                else:
+                    # A journal whose only content is a torn line carries
+                    # no intact state: drop it and run from scratch (the
+                    # crash predates the first fsync'd event).
+                    if info is not None and info.events == 0:
+                        info.path.unlink(missing_ok=True)
+                        info = None
+                    record.resumed = info is not None
+                    self._register(record, terminal=False)
+                    self._queue.submit(record, enforce_quota=False)
 
     def _register(self, record: JobRecord, *, terminal: bool) -> None:
-        with self._lock:
-            self._records[record.job_id] = record
-            self._controls[record.job_id] = _JobControl(self, record.job_id)
-            event = threading.Event()
-            if terminal:
-                event.set()
-            self._terminal[record.job_id] = event
+        """Track ``record``; the caller holds ``self._lock``."""
+        self._records[record.job_id] = record
+        self._controls[record.job_id] = _JobControl(self, record.job_id)
+        event = threading.Event()
+        if terminal:
+            event.set()
+        self._terminal[record.job_id] = event
 
     def stop(self, *, drain: bool = True, timeout: float | None = None) -> None:
         """Shut down: optionally drain the queue, then join the workers."""
@@ -415,34 +418,38 @@ class TuningServer:
     # -- submission & control --------------------------------------------------
 
     def submit(self, spec: JobSpec) -> str:
-        """Admit one job: quota check, durable spec write, enqueue."""
-        if not self._started or self._stopping.is_set():
-            raise ServiceError("server is not accepting submissions")
-        if spec.job_id in self._records:
-            raise ServiceError(f"job id {spec.job_id!r} already exists")
-        if isinstance(spec.workload, Workload):
-            self._resolver.setdefault(spec.workload.name, spec.workload)
-        record = JobRecord(spec=spec)
-        # Write-ahead: the spec hits disk before the queue, so an
-        # admitted job survives any later crash; a quota rejection
-        # removes the spec again below.
-        self.root.write_spec(durable_spec(spec))
-        self._register(record, terminal=False)
+        """Admit one job: durable spec write, quota check, enqueue.
+
+        A spec without a ``job_id`` gets the next free ``job-NNNN`` id.
+        The id check, the exclusive spec write and the registration run
+        under the server lock, so concurrent submitters can neither
+        share an id nor overwrite each other's spec.
+        """
+        with self._lock:
+            if not self._started or self._stopping.is_set():
+                raise ServiceError("server is not accepting submissions")
+            if spec.job_id in self._records:
+                raise ServiceError(f"job id {spec.job_id!r} already exists")
+            if isinstance(spec.workload, Workload):
+                self._resolver.setdefault(spec.workload.name, spec.workload)
+            # Write-ahead: the spec hits disk before the queue, so an
+            # admitted job survives any later crash; a quota rejection
+            # removes the spec again below.
+            job_id = self.root.write_spec(durable_spec(spec)).job_id
+            record = JobRecord(spec=replace(spec, job_id=job_id))
+            self._register(record, terminal=False)
         try:
             self._queue.submit(record)
         except Exception:
             # Rejected after persisting: remove the spec so a restart
             # does not resurrect a job that was never admitted.
-            self.root.spec_path(spec.job_id).unlink(missing_ok=True)
+            self.root.spec_path(job_id).unlink(missing_ok=True)
             with self._lock:
-                self._records.pop(spec.job_id, None)
-                self._controls.pop(spec.job_id, None)
-                self._terminal.pop(spec.job_id, None)
+                self._records.pop(job_id, None)
+                self._controls.pop(job_id, None)
+                self._terminal.pop(job_id, None)
             raise
-        return spec.job_id
-
-    def allocate_job_id(self) -> str:
-        return self.root.allocate_job_id()
+        return job_id
 
     def cancel(self, job_id: str) -> str:
         """Cancel a job; returns its resulting state.

@@ -19,10 +19,14 @@ this module **exactly**:
 
 Versioning rules: :data:`CODEC_VERSION` is stamped into every journal's
 ``session_start`` event.  The version is bumped whenever an encoded
-shape changes incompatibly (a field removed or reinterpreted; additions
-with defaults are compatible and do not bump).  :func:`check_version`
-rejects journals written by a different major shape so a resume can
-never misread old bytes silently.
+shape changes incompatibly (a field reinterpreted, or a result-relevant
+field removed; additions with defaults are compatible and do not bump).
+:func:`check_version` rejects journals written by a different major
+shape so a resume can never misread old bytes silently.  Fields that
+were removed without ever affecting results are listed in
+:data:`RETIRED_FIELDS`: decoding drops them, so older journals and job
+specs stay readable, while any other unknown field raises
+:class:`~repro.errors.SessionError`.
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ from repro.faults import FaultPlan
 
 #: Bump on any incompatible change to an encoded shape (see module doc).
 CODEC_VERSION = 1
+
+#: Per codec kind, fields older builds encoded that this build dropped.
+#: None of them ever changed a result: ``workers``/``executor`` chose how
+#: candidates were evaluated, ``stats`` counted that executor's work.
+RETIRED_FIELDS = {
+    "LambdaTuneOptions": frozenset({"workers", "executor"}),
+    "SelectionState": frozenset({"stats"}),
+}
 
 _KIND = "__k__"
 _TUPLE = "__t__"
@@ -193,6 +205,16 @@ def _dec_best(fields) -> BestConfig:
     return BestConfig(time=fields["time"], config=fields["config"])
 
 
+def _current_fields(kind: str, cls, fields: dict) -> dict:
+    """``fields`` minus :data:`RETIRED_FIELDS`; unknown ones are errors."""
+    retired = RETIRED_FIELDS[kind]
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(fields) - known - retired
+    if unknown:
+        raise SessionError(f"unknown {kind} fields {sorted(unknown)} in journal")
+    return {name: value for name, value in fields.items() if name not in retired}
+
+
 def _enc_selection_state(state: SelectionState):
     return "SelectionState", {
         "timeout": state.timeout,
@@ -201,11 +223,11 @@ def _enc_selection_state(state: SelectionState):
         "best": state.best,
         "trace": state.trace,
         "candidates": state.candidates,
-        "stats": state.stats,
     }
 
 
 def _dec_selection_state(fields) -> SelectionState:
+    fields = _current_fields("SelectionState", SelectionState, fields)
     return SelectionState(
         timeout=fields["timeout"],
         rounds=fields["rounds"],
@@ -213,7 +235,6 @@ def _dec_selection_state(fields) -> SelectionState:
         best=fields["best"],
         trace=fields["trace"],
         candidates=fields["candidates"],
-        stats=fields["stats"],
     )
 
 
@@ -318,7 +339,9 @@ def _enc_options(options: LambdaTuneOptions) -> tuple[str, dict]:
 
 
 def _dec_options(fields) -> LambdaTuneOptions:
-    return LambdaTuneOptions(**fields)
+    return LambdaTuneOptions(
+        **_current_fields("LambdaTuneOptions", LambdaTuneOptions, fields)
+    )
 
 
 _ENCODERS = {

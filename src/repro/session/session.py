@@ -14,8 +14,8 @@ selection's :class:`~repro.core.rounds.SelectionState`, replays the
 journal tail recorded since the last checkpoint, and continues the tune
 from the exact :class:`~repro.core.rounds.RoundCursor` position --
 producing the same ``SelectionResult`` floats, trace, and fingerprint
-as a never-interrupted run, under serial and parallel executors alike,
-and never re-running a query the journal recorded as completed.
+as a never-interrupted run, and never re-running a query the journal
+recorded as completed.
 
 Replay rules (one per event kind):
 

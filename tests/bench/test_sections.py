@@ -41,7 +41,7 @@ class TestSectionRegistry:
     def test_expected_sections_present(self, bench):
         expected = {
             "dp_microbench", "full_tune", "regression_gate",
-            "parallel_selection", "compile_cache", "fault_injection",
+            "compile_cache", "fault_injection",
             "sessions", "artifact_cache", "batched_tuning",
             "service_throughput", "multi_objective", "planning_throughput",
             "evaluator_throughput", "scaling", "pytest",

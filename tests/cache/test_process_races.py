@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.cache import MISS, ArtifactCache, install_cache
-from repro.core.parallel import preferred_mp_context
+from repro.core.batch import preferred_mp_context
 
 
 @pytest.fixture(autouse=True)

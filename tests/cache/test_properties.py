@@ -2,9 +2,9 @@
 
 For every cached artifact type (plans, compiled workloads, ILP
 solutions, LLM samples, plan orders) a warm hit must be byte-identical
-to a cold computation -- across ``PYTHONHASHSEED`` values, across
-serial/thread/process executors, and after a poisoning attack on every
-disk entry.  The full tuning pipeline exercises all five artifact kinds
+to a cold computation -- across ``PYTHONHASHSEED`` values, in-process
+and across concurrent ``tune_many`` jobs, and after a poisoning attack
+on every disk entry.  The full tuning pipeline exercises all five artifact kinds
 in one run, so it is the property under test.
 """
 
@@ -134,25 +134,19 @@ def test_poisoned_entries_recomputed_end_to_end(tmp_path):
     assert cache.stats.disk_hits == 0  # nothing corrupt was ever trusted
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_executors_identical_with_cache(tmp_path, executor):
-    """Parallel selection over a warm cache matches the uncached serial run."""
+def test_cold_and_warm_tunes_identical_to_uncached(tmp_path):
+    """Tunes over a cold, then warm, cache match the uncached run."""
     workload = tpch_workload()
     reference = LambdaTune(
         PostgresEngine(workload.catalog), SimulatedLLM(), options=OPTIONS
     ).tune(list(workload.queries), workload_name=workload.name)
 
-    options = (
-        OPTIONS
-        if executor == "serial"
-        else OPTIONS.ablated(workers=2, executor=executor)
-    )
     install_cache(ArtifactCache(tmp_path / "cache"))
     for _ in range(2):  # cold then warm
         tuned = LambdaTune(
             PostgresEngine(tpch_workload().catalog),
             SimulatedLLM(),
-            options=options,
+            options=OPTIONS,
         ).tune(list(workload.queries), workload_name=workload.name)
         assert tuned.fingerprint() == reference.fingerprint()
 

@@ -7,14 +7,20 @@ without a deterministic :class:`FaultPlan` -- plus the executor-aware
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.cache import install_cache
 from repro.core import BatchJob, LambdaTuneOptions, tune_many
-from repro.core.batch import _default_max_workers, resume_job, run_job
-from repro.core.parallel import ensure_pool_env, preferred_mp_context
+from repro.core.batch import (
+    _default_max_workers,
+    ensure_pool_env,
+    preferred_mp_context,
+    resume_job,
+    run_job,
+)
 from repro.db.postgres import PostgresEngine
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
@@ -75,6 +81,20 @@ class TestByteIdentity:
             max_workers=4,
         )
         assert fingerprints(serial) == fingerprints(process)
+
+    def test_process_matches_serial_under_spawn(self, tiny_workload, monkeypatch):
+        """Without ``fork`` the pool falls back to ``spawn``: workers
+        re-import ``repro``, and the pinned environment (PYTHONPATH +
+        PYTHONHASHSEED) keeps them deterministic."""
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        assert preferred_mp_context().get_start_method() == "spawn"
+        serial = tune_many(seeded_jobs(tiny_workload), max_workers=1)
+        spawned = tune_many(
+            seeded_jobs(tiny_workload), executor="process", max_workers=2
+        )
+        assert fingerprints(spawned) == fingerprints(serial)
 
     def test_shared_disk_cache_is_transparent(self, tiny_workload, tmp_path):
         serial = tune_many(seeded_jobs(tiny_workload), max_workers=1)

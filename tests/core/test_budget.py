@@ -3,8 +3,7 @@
 With ``LambdaTuneOptions.budget`` set, candidates whose footprint
 exceeds the caps are quarantined through the same typed path as
 inapplicable scripts -- deterministically, before any settings touch
-the engine, and byte-identically across serial/thread/process
-executors.  Without a budget nothing changes at all.
+the engine.  Without a budget nothing changes at all.
 """
 
 import pytest
@@ -47,10 +46,9 @@ def fingerprint(result):
     )
 
 
-def budget_tune(workload, *, budget, workers=0, executor="process",
-                system="postgres"):
+def budget_tune(workload, *, budget, system="postgres"):
     engine = create_engine(system, workload.catalog, HARDWARE)
-    options = FAST.ablated(budget=budget, workers=workers, executor=executor)
+    options = FAST.ablated(budget=budget)
     return LambdaTune(engine, SimulatedLLM(), options).tune(
         list(workload.queries)
     )
@@ -81,15 +79,6 @@ class TestEvaluatorGate:
         with pytest.raises(BudgetInfeasibleError) as excinfo:
             evaluator._check_budget(config)  # noqa: SLF001
         assert isinstance(excinfo.value, ConfigurationError)
-
-    def test_budget_travels_in_worker_options(self, pg_engine):
-        budget = ResourceBudget(max_memory_bytes=8 * GB)
-        evaluator = ConfigurationEvaluator(pg_engine, budget=budget)
-        options = evaluator.worker_options()
-        assert options["budget"] == budget
-        # Worker reconstruction path: options round-trip into a twin.
-        twin = ConfigurationEvaluator(pg_engine.fork(), **options)
-        assert twin._budget == budget  # noqa: SLF001
 
     def test_no_budget_admits_everything(self, pg_engine):
         evaluator = ConfigurationEvaluator(pg_engine)
@@ -147,46 +136,6 @@ class TestTuneUnderBudget:
             FAST.ablated(budget="ram=8GB")
 
 
-class TestExecutorEquivalence:
-    """The feasibility gate is deterministic across execution modes."""
-
-    MATRIX = [
-        (0, "serial"),
-        (2, "serial"),
-        (2, "thread"),
-        (3, "thread"),
-        (2, "process"),
-    ]
-
-    @pytest.mark.parametrize("workers,executor", MATRIX)
-    def test_partial_budget_identical_to_serial(
-        self, tiny_workload, workers, executor
-    ):
-        expected = fingerprint(budget_tune(tiny_workload, budget=PARTIAL_BUDGET))
-        result = budget_tune(
-            tiny_workload,
-            budget=PARTIAL_BUDGET,
-            workers=workers,
-            executor=executor,
-        )
-        assert fingerprint(result) == expected
-
-    @pytest.mark.parametrize("workers,executor", [(2, "thread"), (2, "process")])
-    def test_fallback_identical_to_serial(
-        self, tiny_workload, workers, executor
-    ):
-        expected = fingerprint(
-            budget_tune(tiny_workload, budget=IMPOSSIBLE_BUDGET)
-        )
-        result = budget_tune(
-            tiny_workload,
-            budget=IMPOSSIBLE_BUDGET,
-            workers=workers,
-            executor=executor,
-        )
-        assert fingerprint(result) == expected
-
-
 class TestEveryBackend:
     @pytest.mark.parametrize("system", available_engines())
     def test_budget_tune_returns_a_feasible_config(self, tiny_workload, system):
@@ -198,16 +147,3 @@ class TestEveryBackend:
         )
         assert budget.admits(footprint)
         assert result.extras["feasible"] is True
-
-    @pytest.mark.parametrize("system", available_engines())
-    def test_serial_and_process_agree(self, tiny_workload, system):
-        budget = parse_budget("ram=60GB,disk=200GB")
-        serial = budget_tune(tiny_workload, budget=budget, system=system)
-        pooled = budget_tune(
-            tiny_workload,
-            budget=budget,
-            system=system,
-            workers=2,
-            executor="process",
-        )
-        assert fingerprint(pooled) == fingerprint(serial)

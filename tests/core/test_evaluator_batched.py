@@ -3,7 +3,7 @@
 The batched path must be *byte-identical* to the retained scalar
 reference loop -- same completed-query sets, same ``ConfigMeta.time``
 floats, same quarantine labels, same ``TuningResult.fingerprint()`` --
-across seeds, executors and chaos fault plans.  The suite pins:
+across seeds and chaos fault plans.  The suite pins:
 
 - the keystone numeric fact: ``np.cumsum`` over float64 performs the
   same left-to-right IEEE-754 addition chain as sequential ``+=``
@@ -14,8 +14,9 @@ across seeds, executors and chaos fault plans.  The suite pins:
   timeouts, and fault plans (crash / OOM / transient-storm truncation);
 - ``evaluate`` equivalence with lazy index creation (multi-segment
   orders) and quarantine parity under chaos plans;
-- full-tune fingerprints across 8 seeds x serial/thread/process
-  executors x chaos densities; and
+- full-tune fingerprints across 8 seeds x chaos densities, plus the
+  candidate sets with exact timeout ties and a final pass that improves
+  ``best``; and
 - resume from a journal boundary that falls mid-segment: the resumed
   evaluate starts inside what the uninterrupted run executed as one
   index-stable segment, and must still fingerprint identically.
@@ -30,7 +31,7 @@ import pytest
 import repro.db.planner as planner_module
 from repro.core.config import Configuration
 from repro.core.evaluator import ConfigMeta, ConfigurationEvaluator
-from repro.db.clock import RecordingClock, VirtualClock
+from repro.db.clock import VirtualClock
 from repro.db.indexes import Index
 from repro.db.postgres import PostgresEngine
 from repro.errors import EngineFaultError
@@ -48,7 +49,6 @@ from tests.session.conftest import (
 )
 
 SEEDS = list(range(8))
-EXECUTORS = ("serial", "thread", "process")
 DENSITIES = (0.05, 0.15, 0.4)
 
 
@@ -133,16 +133,6 @@ class TestCumsumBitIdentity:
                 one.advance(float(value))
             many.advance_many(values)
             assert repr(one.now) == repr(many.now)
-
-    def test_recording_clock_records_per_element(self):
-        clock = RecordingClock(0.0)
-        values = np.array([0.5, 1.25, 0.125])
-        clock.advance_many(values)
-        clock.advance(2.0)
-        assert clock.advances == [0.5, 1.25, 0.125, 2.0]
-        replay = VirtualClock(0.0)
-        clock.replay_onto(replay)
-        assert repr(replay.now) == repr(clock.now)
 
 
 # -- execute_many micro equivalence --------------------------------------------
@@ -283,29 +273,44 @@ class TestEvaluateBatchedEqualsScalar:
             self.run_pair(tiny_workload, timeout, plan=plan)
 
 
-# -- full-tune fingerprints: seeds x executors x chaos densities ---------------
+# -- full-tune fingerprints: seeds x chaos densities ---------------------------
+
+#: Fault-free tunes over candidate sets the seeded inputs never build.
+#: k=32 makes the mock LLM repeat scripts, so a duplicate's final-pass
+#: timeout ``best.time - meta.time`` equals its remaining run to the
+#: bit; seed 0 at a 1 s initial timeout has a final pass in which a
+#: candidate after the first improves ``best``, shrinking the timeouts
+#: of the candidates after it.
+EXTRA_TUNES = [
+    pytest.param(
+        None,
+        dict(num_configs=32, initial_timeout=0.1, alpha=1.5),
+        id="duplicates-at-exact-timeout-ties",
+    ),
+    pytest.param(
+        None,
+        dict(seed=0, initial_timeout=1.0),
+        id="final-pass-improves-best",
+    ),
+]
 
 
 class TestFullTuneEquivalence:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_batched_tune_fingerprints_scalar(self, tpch, seed):
-        executor = EXECUTORS[seed % len(EXECUTORS)]
-        workers = 0 if executor == "serial" else 2
-        faulty = seed % 4 != 0
+    @pytest.mark.parametrize(
+        "seed,option_changes",
+        [pytest.param(seed, {}, id=str(seed)) for seed in SEEDS] + EXTRA_TUNES,
+    )
+    def test_batched_tune_fingerprints_scalar(self, tpch, seed, option_changes):
+        faulty = seed is not None and seed % 4 != 0
         plan = chaos_plan(seed) if faulty else None
-        kwargs = dict(workers=workers, executor=executor, llm_faults=faulty)
-        if plan is None:
-            kwargs["llm_faults"] = False
-            plan_installed = None
-        else:
-            plan_installed = plan
+        kwargs = dict(llm_faults=faulty, **option_changes)
 
-        batched = chaos_tune(tpch, plan_installed, **kwargs)
+        batched = chaos_tune(tpch, plan, **kwargs)
         with scalar_reference():
-            scalar = chaos_tune(tpch, plan_installed, **kwargs)
+            scalar = chaos_tune(tpch, plan, **kwargs)
         assert tune_fingerprint(batched) == tune_fingerprint(scalar), (
             f"batched tune diverged from scalar reference "
-            f"(seed={seed}, executor={executor}, plan={plan!r})"
+            f"(seed={seed}, options={option_changes}, plan={plan!r})"
         )
 
 

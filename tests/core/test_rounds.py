@@ -12,7 +12,6 @@ from repro.core.rounds import (
     RoundCursor,
     RoundDriver,
     SelectionState,
-    SerialExecution,
     TuningObserver,
 )
 from repro.errors import BudgetExceededError
@@ -108,7 +107,7 @@ class TestDriverValidation:
     def test_rejects_empty_candidate_pool(self, pg_engine, tiny_workload):
         driver = self.make_driver(pg_engine)
         with pytest.raises(BudgetExceededError, match="no candidate"):
-            driver.run(list(tiny_workload.queries), [], SerialExecution())
+            driver.run(list(tiny_workload.queries), [])
 
 
 class RecordingObserver(TuningObserver):
@@ -139,10 +138,7 @@ class TestDriverEventProtocol:
         )
         observer = RecordingObserver()
         result = driver.run(
-            list(tiny_workload.queries),
-            candidates,
-            SerialExecution(),
-            observer=observer,
+            list(tiny_workload.queries), candidates, observer=observer
         )
         return result, observer.events
 

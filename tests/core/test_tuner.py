@@ -33,17 +33,9 @@ class TestOptions:
         with pytest.raises(ConfigurationError, match="num_configs"):
             LambdaTuneOptions(num_configs=0)
 
-    def test_negative_workers_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            LambdaTuneOptions(workers=-1)
-
-    def test_unknown_executor_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            LambdaTuneOptions(executor="fibers")
-
     def test_ablated_revalidates(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            LambdaTuneOptions().ablated(executor="bogus")
+        with pytest.raises(ConfigurationError, match="num_configs"):
+            LambdaTuneOptions().ablated(num_configs=0)
 
 
 class TestPipeline:

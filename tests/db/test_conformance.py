@@ -4,8 +4,8 @@ Every backend in the registry -- PostgreSQL, MySQL, the columnar
 engine, and anything registered later -- must honour the same contract:
 valid defaults, typed rejection of bad and hardware-infeasible knob
 values, atomic apply/reset round-trips, bit-stable state capture and
-fork, deterministic resource footprints, and independence from
-``PYTHONHASHSEED``.  This replaces the generic system-identity tests
+restore onto a second engine (a fork), deterministic resource
+footprints, and independence from ``PYTHONHASHSEED``.  This replaces the generic system-identity tests
 that used to be copy-pasted per engine in ``test_postgres.py`` /
 ``test_mysql.py``.
 """
@@ -254,9 +254,11 @@ class TestStateAndFork:
         assert other.clock.now == engine.clock.now
 
     def test_fork_times_match_bit_for_bit(self, engine):
+        # A fork: a second engine restored to this one's captured state.
         knob, value = tunable_knob(engine)
         engine.apply_config({knob.name: value})
-        fork = engine.fork()
+        fork = create_engine(engine.system, engine.catalog, HARDWARE)
+        fork.restore_state(engine.capture_state())
         assert repr(fork.estimate_seconds(JOIN_SQL)) == repr(
             engine.estimate_seconds(JOIN_SQL)
         )

@@ -1,43 +1,12 @@
-"""Engine fork/capture/restore and the recording clock.
+"""Engine capture/restore.
 
-The parallel selector's worker isolation rests on these: a worker must
-rebuild a bit-identical engine from a snapshot, and replaying its
-recorded clock advances must reproduce the serial clock exactly.
+Crash-safe sessions rest on these: a resumed run must rebuild a
+bit-identical engine from a journaled snapshot.
 """
 
 import pickle
 
-import pytest
-
-from repro.db.clock import RecordingClock, VirtualClock
 from repro.db.indexes import Index
-
-
-class TestRecordingClock:
-    def test_records_individual_advances(self):
-        clock = RecordingClock(0.0)
-        clock.advance(0.1)
-        clock.advance(2.5)
-        clock.advance(0.0625)
-        assert clock.advances == [0.1, 2.5, 0.0625]
-
-    def test_replay_is_bit_exact(self):
-        # Sum in a different grouping to show replay preserves *order*:
-        # float addition is not associative, replay must not re-group.
-        amounts = [0.1, 0.2, 0.3, 1e-9, 4e7, 0.7]
-        recording = RecordingClock(0.0)
-        for amount in amounts:
-            recording.advance(amount)
-        target = VirtualClock(0.0)
-        recording.replay_onto(target)
-        assert repr(target.now) == repr(recording.now)
-
-    def test_fork_starts_at_current_time(self):
-        clock = VirtualClock(3.5)
-        fork = clock.fork()
-        fork.advance(1.0)
-        assert clock.now == 3.5
-        assert fork.now == 4.5
 
 
 class TestCaptureRestore:
@@ -69,31 +38,3 @@ class TestCaptureRestore:
         pg_engine.restore_state(state)
         assert pg_engine.config == dict(state.settings)
         assert pg_engine.indexes == []
-
-    def test_restore_installs_given_clock(self, pg_engine):
-        clock = RecordingClock(0.0)
-        pg_engine.restore_state(pg_engine.capture_state(), clock=clock)
-        assert pg_engine.clock is clock
-        pg_engine.apply_config({"work_mem": "32MB"})
-        assert clock.advances == [pg_engine.restart_seconds]
-
-
-class TestFork:
-    def test_fork_is_isolated(self, pg_engine):
-        fork = pg_engine.fork()
-        fork.set_many({"work_mem": "512MB"})
-        fork.create_index(Index(table="users", columns=("country",)))
-        assert pg_engine.get("work_mem") != fork.get("work_mem")
-        assert pg_engine.indexes == []
-
-    def test_fork_costs_match(self, pg_engine, tiny_workload):
-        """Same state => identical simulated costs on the fork."""
-        pg_engine.set_many({"shared_buffers": "2GB"})
-        fork = pg_engine.fork()
-        for query in tiny_workload.queries:
-            assert repr(fork.estimate_seconds(query)) == repr(
-                pg_engine.estimate_seconds(query)
-            )
-
-    def test_fork_shares_catalog(self, pg_engine):
-        assert pg_engine.fork().catalog is pg_engine.catalog

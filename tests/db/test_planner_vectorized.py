@@ -4,8 +4,8 @@ The contract under test: ``Planner.plan_many`` through
 ``repro.db.planner_vec`` produces plan-for-plan identical trees and
 bit-identical cost floats to the retained scalar reference
 (``Planner.plan``), over randomized generated workloads, across
-PYTHONHASHSEED subprocesses, across executors, and under catalog
-mutation (generation-counter invalidation of ``CatalogStats``).
+PYTHONHASHSEED subprocesses, through a full configuration selection,
+and under catalog mutation (generation-counter invalidation of ``CatalogStats``).
 
 The unmarked tests are the fast smoke subset that tier-1 always runs;
 the randomized sweeps and subprocess matrices carry ``slow``.
@@ -365,15 +365,12 @@ class TestCrossProcess:
 
 
 @pytest.mark.slow
-class TestExecutorEquivalence:
-    """Vectorized planning is invisible to every selection executor."""
+class TestSelectionEquivalence:
+    """Vectorized planning is invisible to configuration selection."""
 
-    def _selection_fingerprint(self, tpch, vectorized, **selector_kwargs):
+    def _selection_fingerprint(self, tpch, vectorized):
         from repro.core.evaluator import ConfigurationEvaluator
-        from repro.core.selector import (
-            ConfigurationSelector,
-            ParallelConfigurationSelector,
-        )
+        from repro.core.selector import ConfigurationSelector
         from repro.core.tuner import LambdaTune, LambdaTuneOptions
         from repro.llm.mock import SimulatedLLM
 
@@ -389,18 +386,9 @@ class TestExecutorEquivalence:
                 tuner.generate_prompt(list(tpch.queries))
             )
             evaluator = ConfigurationEvaluator(engine, cluster_seed=9)
-            if selector_kwargs:
-                selector = ParallelConfigurationSelector(
-                    engine,
-                    evaluator,
-                    initial_timeout=0.5,
-                    alpha=2.0,
-                    **selector_kwargs,
-                )
-            else:
-                selector = ConfigurationSelector(
-                    engine, evaluator, initial_timeout=0.5, alpha=2.0
-                )
+            selector = ConfigurationSelector(
+                engine, evaluator, initial_timeout=0.5, alpha=2.0
+            )
             selection = selector.select(list(tpch.queries), configs)
         finally:
             planner_module.VECTORIZED_ENABLED = saved
@@ -413,15 +401,6 @@ class TestExecutorEquivalence:
             ),
         )
 
-    def test_all_executors_match_scalar_reference(self, tpch):
+    def test_selection_matches_scalar_reference(self, tpch):
         reference = self._selection_fingerprint(tpch, vectorized=False)
         assert self._selection_fingerprint(tpch, vectorized=True) == reference
-        for kwargs in (
-            {"workers": 2, "executor": "serial"},
-            {"workers": 2, "executor": "thread"},
-            {"workers": 2, "executor": "process"},
-        ):
-            assert (
-                self._selection_fingerprint(tpch, vectorized=True, **kwargs)
-                == reference
-            )

@@ -57,7 +57,8 @@ class TestResourceBudget:
         with pytest.raises(ConfigurationError):
             ResourceBudget(max_disk_bytes=-1)
 
-    def test_picklable_for_worker_options(self):
+    def test_picklable_for_process_workers(self):
+        # Budgets ride inside LambdaTuneOptions to process-pool jobs.
         budget = ResourceBudget(max_memory_bytes=8 * GB)
         assert pickle.loads(pickle.dumps(budget)) == budget
 

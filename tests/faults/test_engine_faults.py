@@ -214,11 +214,3 @@ class TestOOM:
         engine = fresh_engine(tiny_catalog, plan)
         engine.set_many(self.OVERSUBSCRIBED)
         assert engine.execute(QUERY).complete
-
-
-class TestForkInheritance:
-    def test_fork_copies_the_plan(self, tiny_catalog):
-        plan = FaultPlan(seed=5, density=0.3)
-        engine = fresh_engine(tiny_catalog, plan)
-        fork = engine.fork()
-        assert fork.fault_plan is plan

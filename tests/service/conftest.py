@@ -21,13 +21,9 @@ from tests.session.conftest import (  # noqa: F401  (no_rerun_guard is a fixture
 )
 
 
-def job_options(
-    seed: int = 9, *, workers: int = 0, executor: str = "process", **overrides
-) -> LambdaTuneOptions:
+def job_options(seed: int = 9, **overrides) -> LambdaTuneOptions:
     """The session suite's fast options, re-seeded for one service job."""
-    return FAST_OPTIONS.ablated(
-        seed=seed, workers=workers, executor=executor, **overrides
-    )
+    return FAST_OPTIONS.ablated(seed=seed, **overrides)
 
 
 def reference_result(workload, *, options, system="postgres", fault_plan=None):

@@ -124,7 +124,7 @@ class TestProcessCancellation:
         ) as server:
             job_id = server.submit(
                 JobSpec(
-                    job_id=server.allocate_job_id(),
+                    job_id=None,  # the server claims the next free id
                     workload=tiny_workload,
                     tenant="t",
                     options=job_options(0),

@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.errors import JournalLockedError, ServerKilledError
+from repro.errors import JournalLockedError, ServerKilledError, SessionError
 from repro.faults import FaultPlan
 from repro.service import JobClient
 from repro.session import JournalLease
@@ -81,15 +81,15 @@ def recover(root, workload, job_id, *, expect_resumed=True):
     return result
 
 
-def restart_sweep(tmp_path, workload, *, seed, workers, executor, plan=None):
+def restart_sweep(tmp_path, workload, *, seed, plan=None):
     """Crash the service at every journal boundary; recover; compare."""
-    options = job_options(seed, workers=workers, executor=executor)
+    options = job_options(seed)
     reference = reference_result(workload, options=options, fault_plan=plan)
 
     full_root = tmp_path / "full"
     job_id, served = served_once(full_root, workload, options, fault_plan=plan)
     assert fingerprint(served) == fingerprint(reference), (
-        f"service layer changed the result (seed={seed}, executor={executor})"
+        f"service layer changed the result (seed={seed})"
     )
 
     journal = full_root / "journals" / f"{job_id}.journal"
@@ -107,8 +107,7 @@ def restart_sweep(tmp_path, workload, *, seed, workers, executor, plan=None):
         )
         assert fingerprint(resumed) == fingerprint(reference), (
             f"restart diverged at boundary {boundary}/{len(lines)} "
-            f"(after {kinds[boundary - 1]!r}; seed={seed}, "
-            f"workers={workers}, executor={executor}, plan={plan!r})"
+            f"(after {kinds[boundary - 1]!r}; seed={seed}, plan={plan!r})"
         )
 
 
@@ -116,48 +115,21 @@ class TestRestartSweep:
     """Offline crash at every boundary, every seed -- the acceptance bar."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_serial_executor(self, tiny_workload, tmp_path, seed, no_rerun_guard):
-        restart_sweep(
-            tmp_path, tiny_workload, seed=seed, workers=0, executor="serial"
-        )
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_thread_executor(self, tiny_workload, tmp_path, seed, no_rerun_guard):
-        restart_sweep(
-            tmp_path,
-            tiny_workload,
-            seed=seed,
-            workers=2 + seed % 3,
-            executor="thread",
-        )
-
-    def test_thread_executor_smoke(self, tiny_workload, tmp_path, no_rerun_guard):
-        # Tier-1 keeps one threaded sweep; the full 8-seed set is `slow`.
-        restart_sweep(
-            tmp_path, tiny_workload, seed=3, workers=3, executor="thread"
-        )
+    def test_restart_at_every_boundary(
+        self, tiny_workload, tmp_path, seed, no_rerun_guard
+    ):
+        restart_sweep(tmp_path, tiny_workload, seed=seed)
 
 
 class TestChaosRestartSweep:
     """The same sweep with a PR-3 fault plan riding in the job spec."""
 
-    @pytest.mark.parametrize(
-        "seed,density,executor",
-        [(0, 0.15, "serial"), (2, 0.4, "serial"), (5, 0.15, "thread")],
-    )
+    @pytest.mark.parametrize("seed,density", [(0, 0.15), (2, 0.4)])
     def test_restart_under_faults(
-        self, tiny_workload, tmp_path, seed, density, executor, no_rerun_guard
+        self, tiny_workload, tmp_path, seed, density, no_rerun_guard
     ):
         plan = FaultPlan(seed=seed, density=density)
-        restart_sweep(
-            tmp_path,
-            tiny_workload,
-            seed=seed,
-            workers=0 if executor == "serial" else 3,
-            executor=executor,
-            plan=plan,
-        )
+        restart_sweep(tmp_path, tiny_workload, seed=seed, plan=plan)
 
     def test_fault_plan_rides_the_spec(self, tiny_workload, tmp_path):
         # The plan reaches a recovered job from the journal header, via
@@ -182,6 +154,79 @@ class TestChaosRestartSweep:
         )
         resumed = recover(root, tiny_workload, job_id)
         assert fingerprint(resumed) == fingerprint(reference)
+
+
+def with_fields(text, extra):
+    """``text`` (newline-terminated JSON lines) with ``extra[kind]``
+    merged into every codec-encoded object of that kind."""
+
+    def visit(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                visit(value)
+            node.update(extra.get(node.get("__k__"), {}))
+        elif isinstance(node, list):
+            for item in node:
+                visit(item)
+
+    out = []
+    for line in text.splitlines():
+        data = json.loads(line)
+        visit(data)
+        out.append(json.dumps(data, separators=(",", ":")) + "\n")
+    return "".join(out)
+
+
+class TestRetiredFields:
+    """Specs and journals from builds that still had a candidate
+    executor carry ``workers``/``executor`` in every encoded
+    ``LambdaTuneOptions`` and ``stats`` in every ``SelectionState``."""
+
+    RETIRED = {
+        "LambdaTuneOptions": {"workers": 4, "executor": "thread"},
+        "SelectionState": {
+            "stats": {"folded": 3, "recomputed": 1, "skipped": 0, "inline": 1}
+        },
+    }
+
+    def old_format_root(self, tmp_path, workload, extra):
+        """A crash root whose spec and torn journal carry ``extra``."""
+        full_root = tmp_path / "full"
+        job_id, _ = served_once(full_root, workload, job_options(3))
+        journal = full_root / "journals" / f"{job_id}.journal"
+        lines = journal.read_text().splitlines(keepends=True)
+        kinds = [json.loads(line)["kind"] for line in lines]
+        cut = kinds.index("checkpoint") + 2
+        torn = with_fields("".join(lines[:cut]), extra)
+        root = crash_root(
+            tmp_path, full_root, job_id, torn + lines[cut][:40], "old"
+        )
+        spec = root / "jobs" / f"{job_id}.job"
+        spec.write_text(with_fields(spec.read_text(), extra))
+        return root, job_id
+
+    def test_server_resumes_old_spec_and_journal(
+        self, tiny_workload, tmp_path, no_rerun_guard
+    ):
+        reference = reference_result(tiny_workload, options=job_options(3))
+        root, job_id = self.old_format_root(tmp_path, tiny_workload, self.RETIRED)
+        journal = (root / "journals" / f"{job_id}.journal").read_text()
+        assert '"stats"' in journal and '"executor"' in journal
+        resumed = recover(root, tiny_workload, job_id)
+        assert fingerprint(resumed) == fingerprint(reference)
+
+    def test_unknown_header_field_raises_session_error(
+        self, tiny_workload, tmp_path
+    ):
+        extra = {"LambdaTuneOptions": {"verbosity": 2}}
+        root, job_id = self.old_format_root(tmp_path, tiny_workload, extra)
+        (root / "jobs" / f"{job_id}.job").unlink()  # leave only the journal
+        server = make_server(
+            root, workload_resolver={tiny_workload.name: tiny_workload}
+        )
+        with pytest.raises(SessionError, match="verbosity"):
+            server.start()
+        server.stop()
 
 
 def wait_for_workers(server, timeout=30.0):

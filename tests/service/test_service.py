@@ -8,6 +8,8 @@ suites (``test_restart.py``, ``test_quotas.py``,
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.session.discover import (
     inspect_journal,
     read_result,
 )
+from repro.workloads.registry import load_workload
 from tests.service.conftest import (
     fingerprint,
     job_options,
@@ -115,6 +118,28 @@ class TestServiceRoot:
         root.write_spec(JobSpec(job_id=second, workload="tpch-sf1"))
         assert root.job_ids() == ["job-0000", "job-0001"]
 
+    def test_spec_without_id_claims_the_next_free_one(self, service_root):
+        root = ServiceRoot(service_root)
+        written = root.write_spec(JobSpec(job_id=None, workload="tpch-sf1"))
+        assert written.job_id == "job-0000"
+        assert root.read_spec("job-0000") == written
+
+    def test_allocation_retries_after_losing_a_race(
+        self, service_root, monkeypatch
+    ):
+        # Another submitter claimed job-0000 between this writer's
+        # allocation and its publish: move on, never overwrite.
+        root = ServiceRoot(service_root)
+        root.write_spec(JobSpec(job_id="job-0000", workload="tpch-sf1"))
+        stale = iter(["job-0000"])
+        allocate = root.allocate_job_id
+        monkeypatch.setattr(
+            root, "allocate_job_id", lambda: next(stale, None) or allocate()
+        )
+        written = root.write_spec(JobSpec(job_id=None, workload="tpch-sf2"))
+        assert written.job_id == "job-0001"
+        assert root.read_spec("job-0000").workload == "tpch-sf1"
+
 
 class TestServerBasics:
     def test_submitted_job_matches_unserviced_reference(
@@ -197,6 +222,72 @@ class TestServerBasics:
             assert len(client.jobs()) == 2
             (only,) = client.jobs(tenant="b")
             assert only["tenant"] == "b"
+
+
+def run_concurrently(count, action):
+    """Call ``action(i)`` for i in range(count) on barrier-released
+    threads, switching threads as often as the interpreter allows;
+    returns (results by i, exceptions raised)."""
+    barrier = threading.Barrier(count)
+    results, errors = {}, []
+
+    def body(i):
+        barrier.wait(timeout=30.0)
+        try:
+            results[i] = action(i)
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=body, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results, errors
+
+
+class TestConcurrentSubmit:
+    WORKLOAD = "synthetic:queries=8,scale=2"
+
+    def test_submits_without_ids_get_distinct_ids(self, service_root):
+        with make_server(service_root, workers=2) as server:
+            client = JobClient(server)
+            ids, errors = run_concurrently(
+                8,
+                lambda seed: client.submit(
+                    self.WORKLOAD, options=job_options(seed)
+                ),
+            )
+            assert not errors
+            assert len(set(ids.values())) == 8
+            results = {
+                seed: client.result(job_id, timeout=120.0)
+                for seed, job_id in ids.items()
+            }
+        workload = load_workload(self.WORKLOAD)
+        for seed, result in results.items():
+            reference = reference_result(workload, options=job_options(seed))
+            assert fingerprint(result) == fingerprint(reference)
+
+    def test_explicit_duplicate_id_still_rejected(self, service_root):
+        with make_server(service_root, workers=2) as server:
+            client = JobClient(server)
+            ids, errors = run_concurrently(
+                4,
+                lambda seed: client.submit(
+                    self.WORKLOAD, options=job_options(seed), job_id="same"
+                ),
+            )
+            assert list(ids.values()) == ["same"]
+            assert len(errors) == 3
+            assert all(isinstance(error, ServiceError) for error in errors)
+            server.wait_all(timeout=120.0)
 
 
 class TestBudgetJobs:

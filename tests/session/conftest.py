@@ -24,9 +24,7 @@ def fingerprint(result):
 
     Mirrors the chaos-suite fingerprint and additionally pins the
     fields the session layer is responsible for restoring: the workload
-    name and the tuning-clock total.  Parallel merge ``stats`` are
-    deliberately excluded -- a resumed run legitimately folds fewer
-    outcomes than an uninterrupted one.
+    name and the tuning-clock total.
     """
     meta = result.extras.get("meta", {})
     return (
@@ -66,15 +64,11 @@ def make_tuner(
     workload: Workload,
     *,
     seed=9,
-    workers=0,
-    executor="process",
     plan=None,
     engine_cls=PostgresEngine,
     budget=None,
 ) -> LambdaTune:
-    options = FAST_OPTIONS.ablated(
-        seed=seed, workers=workers, executor=executor, budget=budget
-    )
+    options = FAST_OPTIONS.ablated(seed=seed, budget=budget)
     engine = engine_cls(workload.catalog)
     if plan is not None:
         engine.install_faults(plan)

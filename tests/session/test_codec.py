@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import Configuration
 from repro.core.evaluator import ConfigMeta
 from repro.core.result import TracePoint, TuningResult
-from repro.core.rounds import BestConfig, RoundCursor, SelectionState, new_stats
+from repro.core.rounds import BestConfig, RoundCursor, SelectionState
 from repro.core.tuner import LambdaTuneOptions
 from repro.db.engine import EngineState
 from repro.db.indexes import Index
@@ -130,7 +130,6 @@ class TestRegisteredTypes:
             best=BestConfig(time=0.7, config=config),
             trace=[(1.25, 0.7)],
             candidates=["c2", "c3"],
-            stats=new_stats(),
         )
         decoded = roundtrip(state)
         assert repr(decoded.timeout) == repr(state.timeout)
@@ -140,7 +139,6 @@ class TestRegisteredTypes:
         assert decoded.trace == [(1.25, 0.7)]
         assert isinstance(decoded.trace[0], tuple)
         assert decoded.candidates == ["c2", "c3"]
-        assert decoded.stats == state.stats
 
     def test_fresh_selection_state_has_inf_best(self):
         state = SelectionState.initial([Configuration(name="x")], 10.0)
@@ -191,9 +189,7 @@ class TestRegisteredTypes:
         assert decoded.extras["meta"]["winner"].time == 12.5
 
     def test_options(self):
-        options = LambdaTuneOptions(
-            token_budget=None, workers=4, executor="thread", seed=3
-        )
+        options = LambdaTuneOptions(token_budget=None, alpha=3.5, seed=3)
         assert roundtrip(options) == options
 
     def test_resource_budget(self):
@@ -224,3 +220,32 @@ class TestVersioning:
     def test_other_versions_rejected(self, version):
         with pytest.raises(SessionError, match="codec version"):
             codec.check_version(version)
+
+
+class TestRetiredFields:
+    """Fields older builds encoded and this one dropped stay decodable."""
+
+    RETIRED = [
+        (LambdaTuneOptions(seed=3), {"workers": 4, "executor": "thread"}),
+        (
+            SelectionState.initial([Configuration(name="x")], 10.0),
+            {"stats": {"folded": 2, "recomputed": 0}},
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "obj,old_fields", RETIRED, ids=["options", "selection-state"]
+    )
+    def test_retired_fields_dropped(self, obj, old_fields):
+        data = codec.encode(obj)
+        data.update(codec.encode(old_fields))
+        assert codec.dumps(codec.decode(data)) == codec.dumps(obj)
+
+    @pytest.mark.parametrize(
+        "obj,old_fields", RETIRED, ids=["options", "selection-state"]
+    )
+    def test_unknown_fields_rejected(self, obj, old_fields):
+        data = codec.encode(obj)
+        data["verbosity"] = 2
+        with pytest.raises(SessionError, match="verbosity"):
+            codec.decode(data)

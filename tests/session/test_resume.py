@@ -1,9 +1,8 @@
 """Kill-at-every-journal-boundary resume sweeps (the PR's acceptance bar).
 
-For ≥8 seeds × {serial, thread, process} executors, a journaled tune is
-truncated after *every* event line -- simulating a crash at each
-durability boundary -- and resumed on a fresh engine.  Every resumed
-run must
+For ≥8 seeds, a journaled tune is truncated after *every* event line --
+simulating a crash at each durability boundary -- and resumed on a
+fresh engine.  Every resumed run must
 
 - reproduce the uninterrupted run's result byte-for-byte (floats via
   ``repr``, trace, meta, workload name, tuning clock), and
@@ -30,24 +29,15 @@ from tests.session.conftest import (
     resume_tune,
 )
 
-#: ≥8 distinct LLM seeds; worker counts cycle with the seed.
+#: ≥8 distinct LLM seeds.
 RESUME_SEEDS = list(range(8))
-EXECUTORS = ["serial", "thread", "process"]
 
 
 def boundary_sweep(
-    workload,
-    tmp_path,
-    *,
-    seed,
-    workers,
-    executor,
-    plan=None,
-    engine_cls=None,
-    budget=None,
+    workload, tmp_path, *, seed, plan=None, engine_cls=None, budget=None
 ):
     """Truncate after every journal line; resume; compare fingerprints."""
-    kwargs = dict(seed=seed, workers=workers, executor=executor, plan=plan)
+    kwargs = dict(seed=seed, plan=plan)
     if engine_cls is not None:
         kwargs["engine_cls"] = engine_cls
     if budget is not None:
@@ -57,7 +47,7 @@ def boundary_sweep(
     path = tmp_path / "run.journal"
     journaled = journaled_tune(workload, path, **kwargs)
     assert fingerprint(journaled) == fingerprint(reference), (
-        f"journaling changed the result (seed={seed}, executor={executor})"
+        f"journaling changed the result (seed={seed})"
     )
 
     lines = path.read_text().splitlines(keepends=True)
@@ -72,25 +62,16 @@ def boundary_sweep(
         resumed = resume_tune(workload, trunc, **resume_kwargs)
         assert fingerprint(resumed) == fingerprint(reference), (
             f"resume diverged at boundary {boundary}/{len(lines)} "
-            f"(after {kinds[boundary - 1]!r}; seed={seed}, "
-            f"workers={workers}, executor={executor}, plan={plan!r})"
+            f"(after {kinds[boundary - 1]!r}; seed={seed}, plan={plan!r})"
         )
 
 
 class TestBoundarySweep:
-    @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("seed", RESUME_SEEDS)
     def test_resume_is_byte_identical_at_every_boundary(
-        self, tiny_workload, tmp_path, seed, executor, no_rerun_guard
+        self, tiny_workload, tmp_path, seed, no_rerun_guard
     ):
-        workers = 0 if executor == "serial" else 2 + seed % 3
-        boundary_sweep(
-            tiny_workload,
-            tmp_path,
-            seed=seed,
-            workers=workers,
-            executor=executor,
-        )
+        boundary_sweep(tiny_workload, tmp_path, seed=seed)
 
     def test_resume_after_torn_tail(self, tiny_workload, tmp_path):
         # A crash mid-write leaves a torn final line; resume must drop
@@ -108,30 +89,12 @@ class TestBoundarySweep:
 class TestChaosBoundarySweep:
     """The sweep under PR-3 fault injection."""
 
-    @pytest.mark.parametrize(
-        "seed,density,executor",
-        [
-            (0, 0.05, "serial"),
-            (1, 0.15, "serial"),
-            (2, 0.4, "thread"),
-            (3, 0.15, "thread"),
-            (4, 0.05, "process"),
-            (5, 0.4, "serial"),
-        ],
-    )
+    @pytest.mark.parametrize("seed,density", [(0, 0.05), (1, 0.15), (5, 0.4)])
     def test_resume_under_faults(
-        self, tiny_workload, tmp_path, seed, density, executor, no_rerun_guard
+        self, tiny_workload, tmp_path, seed, density, no_rerun_guard
     ):
         plan = FaultPlan(seed=seed, density=density)
-        workers = 0 if executor == "serial" else 3
-        boundary_sweep(
-            tiny_workload,
-            tmp_path,
-            seed=seed,
-            workers=workers,
-            executor=executor,
-            plan=plan,
-        )
+        boundary_sweep(tiny_workload, tmp_path, seed=seed, plan=plan)
 
     def test_fault_plan_reinstalled_on_resume(self, tiny_workload, tmp_path):
         # resume_tune builds the engine WITHOUT the plan; equality with
@@ -159,24 +122,13 @@ class TestBudgetBoundarySweep:
     quarantined configs and diverge.
     """
 
-    @pytest.mark.parametrize(
-        "seed,executor", [(9, "serial"), (9, "thread"), (9, "process")]
-    )
     def test_resume_preserves_quarantine(
-        self, tiny_workload, tmp_path, seed, executor, no_rerun_guard
+        self, tiny_workload, tmp_path, no_rerun_guard
     ):
         budget = parse_budget("ram=32GB")
-        workers = 0 if executor == "serial" else 2
-        boundary_sweep(
-            tiny_workload,
-            tmp_path,
-            seed=seed,
-            workers=workers,
-            executor=executor,
-            budget=budget,
-        )
+        boundary_sweep(tiny_workload, tmp_path, seed=9, budget=budget)
         # The scenario must actually exercise the gate.
-        reference = plain_tune(tiny_workload, seed=seed, budget=budget)
+        reference = plain_tune(tiny_workload, seed=9, budget=budget)
         assert reference.extras["failed_configs"], (
             "budget quarantined nothing; sweep is vacuous"
         )
@@ -192,10 +144,7 @@ class TestBudgetBoundarySweep:
         # Every LLM sample is infeasible: the run must fall back to the
         # default config, on resume exactly as uninterrupted.
         budget = parse_budget("ram=16GB")
-        boundary_sweep(
-            tiny_workload, tmp_path, seed=9, workers=0, executor="serial",
-            budget=budget,
-        )
+        boundary_sweep(tiny_workload, tmp_path, seed=9, budget=budget)
         reference = plain_tune(tiny_workload, budget=budget)
         assert reference.extras["fallback"] is True
 
@@ -203,20 +152,11 @@ class TestBudgetBoundarySweep:
 class TestColumnarBoundarySweep:
     """The sweep on the third backend, with and without chaos."""
 
-    @pytest.mark.parametrize(
-        "seed,executor", [(0, "serial"), (3, "thread"), (6, "process")]
-    )
     def test_resume_is_byte_identical(
-        self, tiny_workload, tmp_path, seed, executor, no_rerun_guard
+        self, tiny_workload, tmp_path, no_rerun_guard
     ):
-        workers = 0 if executor == "serial" else 2
         boundary_sweep(
-            tiny_workload,
-            tmp_path,
-            seed=seed,
-            workers=workers,
-            executor=executor,
-            engine_cls=ColumnarEngine,
+            tiny_workload, tmp_path, seed=0, engine_cls=ColumnarEngine
         )
 
     def test_resume_under_faults_and_budget(
@@ -226,8 +166,6 @@ class TestColumnarBoundarySweep:
             tiny_workload,
             tmp_path,
             seed=2,
-            workers=2,
-            executor="thread",
             plan=FaultPlan(seed=2, density=0.15),
             engine_cls=ColumnarEngine,
             budget=parse_budget("ram=60GB,disk=200GB"),
