@@ -96,12 +96,17 @@ def cluster_queries(
     *,
     max_clusters: int = MAX_DP_INPUT,
     seed: int = 0,
+    memo: dict | None = None,
 ) -> list[QueryCluster]:
     """Group queries into at most ``max_clusters`` clusters.
 
     Queries with identical index dependencies always land in the same
     cluster (they are indistinguishable to the cost model -- the paper's
     ``q1: A``, ``q2: A`` example).
+
+    ``memo`` (owned by the caller) maps ``(distinct signatures,
+    max_clusters, seed)`` to the K-means labels, which depend on nothing
+    else; the query handles are regrouped under them on every call.
     """
     if not queries:
         return []
@@ -121,9 +126,14 @@ def cluster_queries(
             for signature in signatures
         ]
 
-    signature_map = {signature: signature for signature in signatures}
-    matrix, _ = index_vectors(signatures, signature_map)
-    labels = kmeans(matrix, max_clusters, seed=seed)
+    key = (tuple(signatures), max_clusters, seed)
+    labels = None if memo is None else memo.get(key)
+    if labels is None:
+        signature_map = {signature: signature for signature in signatures}
+        matrix, _ = index_vectors(signatures, signature_map)
+        labels = tuple(kmeans(matrix, max_clusters, seed=seed).tolist())
+        if memo is not None:
+            memo[key] = labels
 
     clusters: dict[int, QueryCluster] = {}
     for signature, label in zip(signatures, labels):

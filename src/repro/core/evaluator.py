@@ -17,9 +17,19 @@ not-yet-completed queries under a timeout:
 
 Selection (Algorithm 2) calls ``evaluate`` for the same configurations
 round after round while the pending-query set only shrinks, so the
-expensive pure derivations -- query-index maps, index-creation-cost
-maps, clustering plus the 2^n-state DP order -- are memoized, keyed by
-``(configuration signature, engine state signature, pending queries)``.
+expensive pure derivations are memoized for the evaluator's lifetime
+(one selection), each keyed on the inputs it actually reads rather than
+on the pending set:
+
+- predicate columns per query ``(name, sql)``;
+- index relevance per (config index tuple, query ``(name, sql)``), so
+  any pending subset is answered by lookup;
+- index-creation costs per (configuration content, engine signature);
+- K-means labels per (distinct index signatures, cluster cap, seed);
+- the DP's order per encoded input ``(n, qmasks, bit_costs)``;
+- the final order per (pending names, configuration content, engine
+  signature).
+
 A cache hit returns exactly what recomputation would: every input that
 could change the result is part of the key, so the memoization is
 bit-transparent (same seed => identical ``TuningResult``).
@@ -45,7 +55,7 @@ from repro.errors import (
     ConfigurationRejectedError,
     EngineFaultError,
 )
-from repro.workloads.base import Query, workload_identity
+from repro.workloads.base import Query
 
 #: Safety valve: drop memoized derivations if a pathological workload
 #: would otherwise grow them without bound.
@@ -102,12 +112,18 @@ class ConfigurationEvaluator:
         self._cluster_seed = cluster_seed
         self._enable_caches = enable_caches
         self._budget = budget
-        # query-name tuple + config signature -> {name: relevant indexes}
-        self._index_map_cache: dict[tuple, dict[str, frozenset]] = {}
+        # query (name, sql) -> columns its predicates touch
+        self._predicate_columns: dict[tuple[str, str], frozenset[str]] = {}
+        # config index tuple -> {query (name, sql): relevant indexes}
+        self._relevance: dict[tuple[Index, ...], dict[tuple, frozenset]] = {}
         # config signature + engine signature -> {index: creation seconds}
         self._index_cost_cache: dict[tuple, dict[Index, float]] = {}
         # query-name tuple + config signature + engine signature -> order
         self._order_cache: dict[tuple, list[str]] = {}
+        # encoded DP input (n, qmasks, bit_costs) -> order of positions
+        self._dp_memo: dict[tuple, tuple[int, ...]] = {}
+        # (distinct signatures, cap, seed) -> K-means labels
+        self._label_memo: dict[tuple, tuple[int, ...]] = {}
 
     # -- resource feasibility ---------------------------------------------------------
 
@@ -162,41 +178,47 @@ class ConfigurationEvaluator:
 
         An index is potentially relevant when its indexed columns
         overlap the columns in the query's predicates (paper §5.1).
-        Memoized per (pending queries, configuration content): the
-        relevance relation reads only the analyzer facts and the config
-        index list, neither of which changes within a selection.
+        Relevance reads only the query's analyzer facts and the config's
+        index list, so it is memoized per (config indexes, query
+        ``(name, sql)``) -- shared by configurations that differ only in
+        settings -- and any pending subset is answered by lookup.
         """
-        key = None
-        if self._enable_caches:
-            key = (
-                workload_identity(queries).names,
-                self._config_key(config),
-            )
-            cached = self._index_map_cache.get(key)
-            if cached is not None:
-                return cached
-
+        indexes = tuple(config.indexes)
+        relevance = self._relevance.get(indexes) if self._enable_caches else None
+        if relevance is None:
+            relevance = {}
+            if self._enable_caches:
+                self._evict_if_full(self._relevance)
+                self._relevance[indexes] = relevance
+        index_columns = [(index, index.qualified_columns()) for index in indexes]
         result: dict[str, frozenset] = {}
         for query in queries:
-            predicate_columns = {
+            key = (query.name, query.sql)
+            relevant = relevance.get(key)
+            if relevant is None:
+                predicate_columns = self._query_columns(query, key)
+                relevant = relevance[key] = frozenset(
+                    index
+                    for index, columns in index_columns
+                    if any(column in predicate_columns for column in columns)
+                )
+            result[query.name] = relevant
+        return result
+
+    def _query_columns(self, query: Query, key: tuple) -> frozenset[str]:
+        """Qualified columns in the query's filters and join conditions."""
+        columns = self._predicate_columns.get(key)
+        if columns is None:
+            found = {
                 predicate.qualified_column for predicate in query.info.filters
             }
             for condition in query.info.join_conditions:
-                predicate_columns.update(condition.columns)
-            relevant = frozenset(
-                index
-                for index in config.indexes
-                if any(
-                    column in predicate_columns
-                    for column in index.qualified_columns()
-                )
-            )
-            result[query.name] = relevant
-
-        if key is not None:
-            self._evict_if_full(self._index_map_cache)
-            self._index_map_cache[key] = result
-        return result
+                found.update(condition.columns)
+            columns = frozenset(found)
+            if self._enable_caches:
+                self._evict_if_full(self._predicate_columns)
+                self._predicate_columns[key] = columns
+        return columns
 
     # -- index creation costs ---------------------------------------------------------
 
@@ -231,9 +253,10 @@ class ConfigurationEvaluator:
         """Choose the execution order (Algorithm 4 over clusters).
 
         The computed order is memoized keyed by (pending queries,
-        configuration content, engine state signature); repeated
-        ``evaluate`` calls across selection rounds rerun clustering and
-        the exponential DP only when an input actually changed.
+        configuration content, engine state signature).  When the
+        pending set changed, the K-means labels and the DP still come
+        from their memos whenever their own inputs -- the distinct index
+        signatures, and the encoded DP input -- repeat.
         """
         if not self._use_scheduler or len(queries) <= 1:
             return list(queries)
@@ -241,7 +264,7 @@ class ConfigurationEvaluator:
         key = None
         if self._enable_caches:
             key = (
-                workload_identity(queries).names,
+                tuple(query.name for query in queries),
                 self._config_key(config),
                 self._engine.config_signature,
             )
@@ -267,7 +290,7 @@ class ConfigurationEvaluator:
                 engine.catalog.content_fingerprint(),
                 engine.content_key(),
                 self._config_key(config),
-                workload_identity(queries).content,
+                tuple((query.name, query.sql) for query in queries),
                 self._cluster_seed,
                 self._max_dp_input,
             )
@@ -282,11 +305,17 @@ class ConfigurationEvaluator:
         index_map = self.query_index_map(queries, config)
         index_cost = self.index_cost_map(config)
 
+        label_memo = dp_memo = None
+        if key is not None:
+            self._evict_if_full(self._label_memo)
+            self._evict_if_full(self._dp_memo)
+            label_memo, dp_memo = self._label_memo, self._dp_memo
         clusters = cluster_queries(
             [query.name for query in queries],
             index_map,
             max_clusters=self._max_dp_input,
             seed=self._cluster_seed,
+            memo=label_memo,
         )
         cluster_handles = list(range(len(clusters)))
         cluster_index_map = {
@@ -294,7 +323,7 @@ class ConfigurationEvaluator:
         }
         if len(cluster_handles) <= self._max_dp_input:
             ordered_handles = compute_order_dp(
-                cluster_handles, cluster_index_map, index_cost
+                cluster_handles, cluster_index_map, index_cost, memo=dp_memo
             )
         else:  # pragma: no cover - cluster_queries respects the cap
             ordered_handles = greedy_order(

@@ -16,8 +16,11 @@ Two DP implementations are provided:
   DP state lives in flat arrays of size ``2^n`` indexed by subset mask,
   order reconstruction uses parent pointers instead of per-subset tuple
   copies, and marginal costs are memoized per ``(query, needed-mask)``.
-  When the index universe fits in 63 bits and numpy is available the
-  inner loop is vectorized over subsets of equal cardinality.
+  When the index universe fits in 63 bits, numpy is available and
+  ``n >= 9``, a hoisted kernel computes every mask's created-index set
+  and every query's marginal cost once, then scores each subset layer
+  as one matrix.  An optional caller-owned ``memo`` keyed on the encoded
+  input ``(n, qmasks, bit_costs)`` lets equal inputs share one solve.
 - :func:`compute_order_dp_reference` -- the original dict/frozenset
   formulation, kept as an executable specification for property tests
   and for the perf-regression harness (``scripts/bench.py``).
@@ -29,6 +32,7 @@ the result never depends on ``PYTHONHASHSEED`` (set iteration order).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Hashable, Mapping, Sequence
 
@@ -135,6 +139,8 @@ def compute_order_dp(
     queries: Sequence[QueryHandle],
     index_map: Mapping[QueryHandle, frozenset],
     index_cost: Mapping[Hashable, float],
+    *,
+    memo: dict | None = None,
 ) -> list[QueryHandle]:
     """Algorithm 4: optimal order by dynamic programming over subsets.
 
@@ -146,12 +152,24 @@ def compute_order_dp(
     This is the bitmask core: states are integer subset masks, DP cost
     and parent-pointer tables are flat arrays of size ``2^n``, and the
     "created indexes" of every subset is an int OR over member masks.
+
+    ``memo`` (owned by the caller) maps the encoded input
+    ``(n, qmasks, bit_costs)`` to the order of input positions: the
+    parent pointers depend on nothing else, so inputs that encode
+    equally -- whatever their handles -- share one solve.
     """
     n = len(queries)
     if n == 0:
         return []
     handles = _checked_handles(queries)
     qmasks, bit_costs = _encode_bitmasks(handles, index_map, index_cost)
+
+    key = None
+    if memo is not None:
+        key = (n, tuple(qmasks), tuple(bit_costs))
+        positions = memo.get(key)
+        if positions is not None:
+            return [handles[i] for i in positions]
 
     if (
         _np is not None
@@ -170,6 +188,8 @@ def compute_order_dp(
         order.append(i)
         mask ^= 1 << i
     order.reverse()
+    if key is not None:
+        memo[key] = tuple(order)
     return [handles[i] for i in order]
 
 
@@ -227,64 +247,100 @@ def _dp_parents_scalar(
 def _dp_parents_vectorized(
     n: int, qmasks: list[int], bit_costs: list[float]
 ) -> list[int]:
-    """Numpy bitmask DP, processing subsets layer-by-layer (popcount).
+    """Numpy bitmask DP with the mask-invariant work hoisted out.
 
-    Produces bit-identical costs to the scalar core: marginal costs are
-    accumulated bit-by-bit in ascending (canonical) order, and the
-    ascending-``i`` strict-improvement update replicates the scalar
-    tie-breaking exactly.
+    Neither ``created[mask]`` nor a query's marginal cost over a prefix
+    depends on ``dp_cost``, so both are computed once: ``z[i, rest]`` is
+    query ``i``'s cost given the indexes of ``rest`` (every ``rest``
+    without ``i``), accumulated bit by bit in ascending (canonical)
+    order from 0.0 exactly like the scalar core.  Each popcount layer is
+    then one ``n x L`` candidate matrix (appending ``i`` to
+    ``mask ^ bit_i``; ``inf`` where ``i`` is not in the mask).
+
+    The scalar core scans candidates in ascending ``i`` and takes one
+    only if it beats the best so far by more than ``_EPS``.  Where every
+    candidate either equals the column minimum or exceeds it by more
+    than ``_EPS`` (``c - _EPS > min``, the scan's own arithmetic), that
+    scan ends at the first minimum -- ``argmin`` -- so only the other
+    columns (near-ties, a non-finite minimum) run the scan itself.
     """
     size = 1 << n
-    masks = _np.arange(size, dtype=_np.int64)
-    popcount = _np.zeros(size, dtype=_np.int64)
-    for i in range(n):
-        popcount += (masks >> i) & 1
-
-    qmask_arr = _np.array(qmasks, dtype=_np.int64)
     costs = _np.array(bit_costs, dtype=_np.float64)
-    n_bits = len(bit_costs)
 
-    # created[mask] = OR of member query masks, built layer by layer
-    # from each mask's lowest set bit.
+    # created[mask] = OR of member query masks; the masks in
+    # [2^i, 2^(i+1)) are those below 2^i with query i added.
     created = _np.zeros(size, dtype=_np.int64)
+    for i, qmask in enumerate(qmasks):
+        half = 1 << i
+        created[half : 2 * half] = created[:half] | qmask
+
+    prefixes_without, layers = _subset_tables(n)
+    z = _np.zeros((n, size), dtype=_np.float64)
+    for i, qmask in enumerate(qmasks):
+        if not qmask:
+            continue
+        prefixes = prefixes_without[i]
+        needed = qmask & ~created[prefixes]
+        row = _np.zeros(len(prefixes), dtype=_np.float64)
+        remaining = qmask
+        while remaining:
+            low = remaining & -remaining
+            bit = low.bit_length() - 1
+            row += costs[bit] * ((needed >> bit) & 1)
+            remaining ^= low
+        z[i, prefixes] = row
+
     dp_cost = _np.zeros(size, dtype=_np.float64)
     parents = _np.full(size, -1, dtype=_np.int64)
-
-    for layer in range(1, n + 1):
-        layer_masks = masks[popcount == layer]
-        low = layer_masks & -layer_masks
-        low_index = _np.zeros(len(layer_masks), dtype=_np.int64)
-        for i in range(n):
-            low_index[low == (1 << i)] = i
-        created[layer_masks] = (
-            created[layer_masks ^ low] | qmask_arr[low_index]
-        )
-
+    rows = _np.arange(n)[:, None]
+    for layer, (layer_masks, rest) in enumerate(layers, start=1):
         weight = float(n - layer + 1)
-        best_cost = _np.full(len(layer_masks), _np.inf, dtype=_np.float64)
-        best_i = _np.full(len(layer_masks), -1, dtype=_np.int64)
-        for i in range(n):
-            has_i = (layer_masks >> i) & 1 == 1
-            sub_masks = layer_masks[has_i]
-            if len(sub_masks) == 0:
-                continue
-            rest = sub_masks ^ (1 << i)
-            needed = qmask_arr[i] & ~created[rest]
-            # Ascending-bit accumulation == canonical summation order.
-            z = _np.zeros(len(sub_masks), dtype=_np.float64)
-            qm = int(qmask_arr[i])
-            for bit in range(n_bits):
-                if not qm & (1 << bit):
-                    continue
-                z += costs[bit] * ((needed >> bit) & 1)
-            cand = dp_cost[rest] + z * weight
-            improve = cand < best_cost[has_i] - _EPS
-            slot = _np.flatnonzero(has_i)[improve]
-            best_cost[slot] = cand[improve]
-            best_i[slot] = i
+        candidates = _np.where(
+            rest < layer_masks, dp_cost[rest] + z[rows, rest] * weight, _np.inf
+        )
+        best_cost = candidates.min(axis=0)
+        best_i = candidates.argmin(axis=0)
+        decided = (
+            (candidates == best_cost) | (candidates - _EPS > best_cost)
+        ).all(axis=0) & (best_cost < _np.inf)
+        if not decided.all():
+            columns = _np.flatnonzero(~decided)
+            scanned = candidates[:, columns]
+            scan_cost = _np.full(len(columns), _np.inf, dtype=_np.float64)
+            scan_i = _np.full(len(columns), -1, dtype=_np.int64)
+            for i in range(n):
+                improve = scanned[i] < scan_cost - _EPS
+                scan_cost = _np.where(improve, scanned[i], scan_cost)
+                scan_i[improve] = i
+            best_cost[columns] = scan_cost
+            best_i[columns] = scan_i
         dp_cost[layer_masks] = best_cost
         parents[layer_masks] = best_i
     return parents.tolist()
+
+
+@functools.lru_cache(maxsize=MAX_DP_INPUT)
+def _subset_tables(n: int) -> tuple:
+    """Mask tables that depend on ``n`` alone, built once per size.
+
+    - ``prefixes_without[i]``: the masks that lack query ``i``, ascending;
+    - per popcount layer 1..n: its masks (ascending) and ``mask ^ bit_i``
+      in row ``i`` -- below the mask where ``i`` is a member (the prefix
+      it extends), above it where not.
+    """
+    masks = _np.arange(1 << n, dtype=_np.int64)
+    popcount = _np.zeros(1 << n, dtype=_np.int64)
+    for i in range(n):
+        popcount += (masks >> i) & 1
+    prefixes_without = tuple(masks[(masks >> i) & 1 == 0] for i in range(n))
+    bits = (_np.int64(1) << _np.arange(n, dtype=_np.int64))[:, None]
+    layers = []
+    for layer in range(1, n + 1):
+        layer_masks = masks[popcount == layer]
+        layers.append((layer_masks, layer_masks ^ bits))
+    for table in (*prefixes_without, *(a for pair in layers for a in pair)):
+        table.setflags(write=False)
+    return prefixes_without, tuple(layers)
 
 
 def compute_order_dp_reference(

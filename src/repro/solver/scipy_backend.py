@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
@@ -21,6 +22,15 @@ _HIGHS_OPTIONS = {
     "mip_feasibility_tolerance": FEASIBILITY_TOLERANCE,
     "primal_feasibility_tolerance": FEASIBILITY_TOLERANCE,
 }
+
+#: ``warnings.catch_warnings`` swaps the process-global filter list on
+#: entry and restores it on exit, so two threads inside it at once can
+#: restore each other's state.  scipy's ``LinearConstraint`` enters it
+#: too, with an "error" filter: built on one thread while another is in
+#: ``milp``, it either turns the silenced warning into an exception or,
+#: on exit, lets it escape.  Solves hold this lock from building the
+#: constraints until ``milp`` returns.
+_WARNINGS_LOCK = threading.Lock()
 
 #: Defensive ceiling on no-good cuts re-excluding any integer point that
 #: still rounds to a model-infeasible assignment.  Each cut removes at
@@ -50,24 +60,25 @@ def solve_with_scipy(model: ILPModel) -> ILPSolution:
         matrices.append(matrix)
 
     for _ in range(_MAX_NO_GOOD_CUTS + 1):
-        constraints = []
-        if matrices:
-            constraints.append(
-                SciPyConstraint(
-                    np.vstack(matrices), lb=-np.inf, ub=np.asarray(uppers)
+        with _WARNINGS_LOCK:
+            constraints = []
+            if matrices:
+                constraints.append(
+                    SciPyConstraint(
+                        np.vstack(matrices), lb=-np.inf, ub=np.asarray(uppers)
+                    )
                 )
-            )
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="Unrecognized options detected"
-            )
-            result = milp(
-                c=costs,
-                constraints=constraints,
-                integrality=np.ones(n),
-                bounds=Bounds(lb=np.zeros(n), ub=np.ones(n)),
-                options=dict(_HIGHS_OPTIONS),
-            )
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", message="Unrecognized options detected"
+                )
+                result = milp(
+                    c=costs,
+                    constraints=constraints,
+                    integrality=np.ones(n),
+                    bounds=Bounds(lb=np.zeros(n), ub=np.ones(n)),
+                    options=dict(_HIGHS_OPTIONS),
+                )
         if not result.success or result.x is None:
             raise SolverError(f"MILP solve failed: {result.message}")
         values = [int(round(value)) for value in result.x]

@@ -74,50 +74,3 @@ class Workload:
 def build_queries(catalog: Catalog, named_sql: list[tuple[str, str]]) -> list[Query]:
     """Helper used by the concrete workloads."""
     return [Query.from_sql(name, sql, catalog) for name, sql in named_sql]
-
-
-@dataclass(frozen=True, slots=True)
-class WorkloadIdentity:
-    """The two canonical key tuples derived from a query list.
-
-    ``names`` keys in-process caches (query sets are unique by name
-    within a tune); ``content`` feeds persistent/artifact cache
-    material, where keys must survive process boundaries and reflect
-    the actual SQL text.  Both tuples are built exactly as the previous
-    inline ``tuple(query.name ...)`` / ``tuple((query.name, query.sql)
-    ...)`` expressions were, so existing cache keys are unchanged.
-    """
-
-    names: tuple[str, ...]
-    content: tuple[tuple[str, str], ...]
-
-
-#: Memo keyed by the ids of the query objects.  Query is frozen, so the
-#: derived tuples can never go stale; the stored value pins strong
-#: references to the queries themselves to keep their ids from being
-#: reused while the entry lives.
-_IDENTITY_CACHE: dict[tuple[int, ...], tuple[tuple[Query, ...], WorkloadIdentity]] = {}
-_MAX_IDENTITY_ENTRIES = 4096
-
-
-def workload_identity(queries: "list[Query] | tuple[Query, ...]") -> WorkloadIdentity:
-    """Cached name/content key tuples for a query list.
-
-    Evaluator cache keys rebuild these tuples thousands of times per
-    tune over the same (often multi-thousand-query) lists; this memo
-    makes the rebuild a dict hit.
-    """
-    key = tuple(map(id, queries))
-    hit = _IDENTITY_CACHE.get(key)
-    if hit is not None and all(
-        cached is query for cached, query in zip(hit[0], queries)
-    ):
-        return hit[1]
-    identity = WorkloadIdentity(
-        names=tuple(query.name for query in queries),
-        content=tuple((query.name, query.sql) for query in queries),
-    )
-    if len(_IDENTITY_CACHE) > _MAX_IDENTITY_ENTRIES:
-        _IDENTITY_CACHE.clear()
-    _IDENTITY_CACHE[key] = (tuple(queries), identity)
-    return identity

@@ -27,7 +27,7 @@ from repro.db.explain import join_condition_values
 from repro.db.hardware import HardwareSpec
 from repro.errors import ReproError
 from repro.sql.analyzer import JoinCondition
-from repro.workloads.base import Query, Workload, workload_identity
+from repro.workloads.base import Query, Workload
 
 
 @dataclass(slots=True)
@@ -97,8 +97,7 @@ def compile_workload(
             raise ReproError(
                 "compile_workload: engine catalog differs from workload catalog"
             )
-    identity = workload_identity(workload.queries)
-    names = identity.names
+    names = tuple(query.name for query in workload.queries)
     cache = None
     key = None
     if engine_module.CACHES_ENABLED:
@@ -136,7 +135,7 @@ def compile_workload(
             ),
             workload.catalog.content_fingerprint(),
             engine.content_key(),
-            identity.content,
+            tuple((query.name, query.sql) for query in workload.queries),
         )
         value = persistent.fetch("compiled", material)
         if value is not MISS:

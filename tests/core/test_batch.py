@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+import pickle
+
 import pytest
 
 from repro.cache import ArtifactCache, active_cache, install_cache
 from repro.core import BatchJob, LambdaTune, LambdaTuneOptions, tune_many
+from repro.core.batch import run_job
 from repro.db.mysql import MySQLEngine
 from repro.errors import ConfigurationError
 from repro.llm.mock import SimulatedLLM
+from repro.workloads import tpch_workload
+from repro.workloads.base import Query
 
 OPTIONS = LambdaTuneOptions(
     token_budget=400, initial_timeout=0.5, alpha=2.0, seed=9
@@ -99,3 +105,22 @@ def test_shared_cache_beats_nothing_but_results_identical(tiny_workload, tmp_pat
     )
     for a, b, c in zip(without, with_cache, warm):
         assert a.fingerprint() == b.fingerprint() == c.fingerprint()
+
+
+def _live_queries() -> int:
+    return sum(isinstance(obj, Query) for obj in gc.get_objects())
+
+
+def test_run_job_keeps_no_unpickled_queries_alive():
+    """Every process-pool job unpickles fresh ``Query`` objects; after a
+    job returns, nothing in the process may keep them alive (a memo
+    keyed by object ids once pinned every job's queries)."""
+    workload = tpch_workload()
+    payload = pickle.dumps(BatchJob(workload=workload, options=OPTIONS))
+    run_job(pickle.loads(payload))  # settle one-off module state
+    gc.collect()
+    before = _live_queries()
+    for _ in range(20):
+        run_job(pickle.loads(payload))
+    gc.collect()
+    assert _live_queries() - before <= len(workload.queries)

@@ -128,6 +128,58 @@ class TestClusterQueries:
         assert sorted(assigned) == sorted(index_map)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, 30),
+            st.frozensets(st.integers(0, 8), max_size=4),
+            max_size=30,
+        ),
+        st.integers(min_value=1, max_value=MAX_DP_INPUT),
+        st.integers(0, 3),
+    )
+    def test_warm_label_memo_matches_cold(self, raw_map, cap, seed):
+        """The memo holds only labels; handles are regrouped per call, so
+        other handles with the same signatures hit and stay exact."""
+        index_map = {f"q{k}": v for k, v in raw_map.items()}
+        renamed = {f"r{k}": v for k, v in raw_map.items()}
+        memo: dict = {}
+        for mapping in (index_map, index_map, renamed):
+            cold = cluster_queries(
+                list(mapping), mapping, max_clusters=cap, seed=seed
+            )
+            warm = cluster_queries(
+                list(mapping), mapping, max_clusters=cap, seed=seed, memo=memo
+            )
+            assert warm == cold
+        assert len(memo) <= 1
+
+    def test_warm_label_memo_skips_kmeans(self, monkeypatch):
+        import repro.core.clustering as clustering_module
+
+        index_map = {
+            f"q{i}": frozenset({f"i{(i * 3) % 17}"}) for i in range(25)
+        }
+        memo: dict = {}
+        cold = cluster_queries(
+            list(index_map), index_map, max_clusters=6, seed=2, memo=memo
+        )
+        assert len(memo) == 1
+
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("K-means ran on a warm memo")
+
+        monkeypatch.setattr(clustering_module, "kmeans", no_kmeans)
+        warm = cluster_queries(
+            list(index_map), index_map, max_clusters=6, seed=2, memo=memo
+        )
+        assert warm == cold
+        with pytest.raises(AssertionError, match="warm memo"):
+            cluster_queries(
+                list(index_map), index_map, max_clusters=6, seed=3, memo=memo
+            )
+
+
 class TestQueryClusterObject:
     def test_hashable(self):
         cluster = QueryCluster(queries=["a"], indexes=frozenset({"x"}))

@@ -60,6 +60,62 @@ class TestQueryIndexMap:
         assert mapping["by_country"]
 
 
+    def test_pending_subset_is_restriction_of_full_map(self, job):
+        from repro.db.postgres import PostgresEngine
+
+        config = Configuration(
+            "c",
+            indexes=[
+                Index("cast_info", ("movie_id",)),
+                Index("movie_info", ("movie_id", "info_type_id")),
+                Index("title", ("id",)),
+                Index("title", ("production_year",)),
+            ],
+        )
+        engine = PostgresEngine(job.catalog)
+        cached = ConfigurationEvaluator(engine)
+        uncached = ConfigurationEvaluator(engine, enable_caches=False)
+        queries = list(job.queries)
+        full = cached.query_index_map(queries, config)
+        assert full == uncached.query_index_map(queries, config)
+        for pending in (queries[5:], queries[::3], queries[-1:], []):
+            mapping = cached.query_index_map(pending, config)
+            assert mapping == {query.name: full[query.name] for query in pending}
+            assert mapping == uncached.query_index_map(pending, config)
+
+    def test_settings_only_configs_share_relevance(self, pg_engine, tiny_workload):
+        indexes = [Index("events", ("user_id2",)), Index("users", ("age",))]
+        first = Configuration("a", settings={"work_mem": "64MB"}, indexes=indexes)
+        second = Configuration(
+            "b", settings={"work_mem": "8MB"}, indexes=list(indexes)
+        )
+        evaluator = ConfigurationEvaluator(pg_engine)
+        queries = list(tiny_workload.queries)
+        a = evaluator.query_index_map(queries, first)
+        b = evaluator.query_index_map(queries, second)
+        assert all(b[name] is a[name] for name in a)
+
+    def test_same_name_other_sql_does_not_share(self, pg_engine, tiny_catalog):
+        from repro.workloads.base import Query
+
+        by_age = Query.from_sql(
+            "q", "SELECT count(*) FROM users WHERE age > 30", tiny_catalog
+        )
+        by_kind = Query.from_sql(
+            "q", "SELECT count(*) FROM events WHERE kind = 'x'", tiny_catalog
+        )
+        config = Configuration(
+            "c", indexes=[Index("users", ("age",)), Index("events", ("kind",))]
+        )
+        evaluator = ConfigurationEvaluator(pg_engine)
+        age_map = evaluator.query_index_map([by_age], config)
+        kind_map = evaluator.query_index_map([by_kind], config)
+        assert {index.name for index in age_map["q"]} == {"idx_users_age"}
+        assert {index.name for index in kind_map["q"]} == {"idx_events_kind"}
+        fresh = ConfigurationEvaluator(pg_engine, enable_caches=False)
+        assert kind_map == fresh.query_index_map([by_kind], config)
+
+
 class TestEvaluate:
     def test_complete_run_updates_meta(
         self, pg_engine, tiny_workload, config_with_index

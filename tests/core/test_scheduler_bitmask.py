@@ -45,6 +45,31 @@ def _random_instance(rng: random.Random, n_queries: int):
     return list(index_map), index_map, costs
 
 
+def _random_encoded_instance(rng: random.Random, n_queries: int, costs: str):
+    """An encoded DP input: index universes of up to 63 bits, ``costs``
+    random, all zero or all equal, and some repeated index sets."""
+    n_bits = rng.randint(0, 63)
+    if costs == "zero":
+        bit_costs = [0.0] * n_bits
+    elif costs == "equal":
+        bit_costs = [rng.choice([0.5, 1.0, 7.25])] * n_bits
+    else:
+        bit_costs = [
+            rng.choice([0.0, 1.0, rng.uniform(0.0, 30.0), rng.uniform(0.0, 1e-11)])
+            for _ in range(n_bits)
+        ]
+    qmasks: list[int] = []
+    for _ in range(n_queries):
+        if qmasks and rng.random() < 0.25:
+            qmasks.append(rng.choice(qmasks))
+            continue
+        density = rng.choice([0.05, 0.2, 0.5])
+        qmasks.append(
+            sum(1 << bit for bit in range(n_bits) if rng.random() < density)
+        )
+    return qmasks, bit_costs
+
+
 @st.composite
 def bitmask_instance(draw, max_queries=8):
     n_queries = draw(st.integers(min_value=1, max_value=max_queries))
@@ -117,3 +142,53 @@ class TestScalarVectorizedAgreement:
             scalar = _dp_parents_scalar(n_queries, qmasks, bit_costs)
             vectorized = _dp_parents_vectorized(n_queries, qmasks, bit_costs)
             assert scalar == vectorized
+
+    @pytest.mark.parametrize("costs", ["random", "zero", "equal"])
+    def test_parents_bit_identical_wide_universes(self, costs):
+        """n = 9..13 over up to 63 index bits, with zero costs, equal
+        costs (every candidate ties), repeated index sets, and costs
+        below 1e-11 that put candidates within the 1e-12 tie rule of
+        each other, so the kernel's argmin and scan paths both run."""
+        pytest.importorskip("numpy")
+        rng = random.Random(f"wide-{costs}")
+        for _ in range(40):
+            n_queries = rng.randint(9, MAX_DP_INPUT)
+            qmasks, bit_costs = _random_encoded_instance(rng, n_queries, costs)
+            scalar = _dp_parents_scalar(n_queries, qmasks, bit_costs)
+            vectorized = _dp_parents_vectorized(n_queries, qmasks, bit_costs)
+            assert scalar == vectorized
+
+
+class TestOrderMemo:
+    def test_hit_with_other_handles_returns_them_in_order(self):
+        rng = random.Random(5)
+        for n_queries in (4, 9, MAX_DP_INPUT):
+            queries, index_map, costs = _random_instance(rng, n_queries)
+            renamed = {f"other-{q}": index_map[q] for q in queries}
+            memo: dict = {}
+            first = compute_order_dp(queries, index_map, costs, memo=memo)
+            assert first == compute_order_dp(queries, index_map, costs)
+            assert len(memo) == 1
+            hit = compute_order_dp(list(renamed), renamed, costs, memo=memo)
+            assert len(memo) == 1
+            assert hit == [f"other-{q}" for q in first]
+            assert hit == compute_order_dp(list(renamed), renamed, costs)
+
+    def test_hit_skips_the_solve(self, monkeypatch):
+        import repro.core.scheduler as scheduler_module
+
+        rng = random.Random(6)
+        queries, index_map, costs = _random_instance(rng, 10)
+        memo: dict = {}
+        first = compute_order_dp(queries, index_map, costs, memo=memo)
+
+        def no_solve(*args):
+            raise AssertionError("DP ran on a memo hit")
+
+        monkeypatch.setattr(scheduler_module, "_dp_parents_vectorized", no_solve)
+        monkeypatch.setattr(scheduler_module, "_dp_parents_scalar", no_solve)
+        assert compute_order_dp(queries, index_map, costs, memo=memo) == first
+        used = min(index for q in queries for index in index_map[q])
+        changed = dict(costs, **{used: costs[used] + 1.0})
+        with pytest.raises(AssertionError, match="memo hit"):
+            compute_order_dp(queries, index_map, changed, memo=memo)

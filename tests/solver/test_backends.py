@@ -1,6 +1,11 @@
 """Backend correctness: scipy vs branch-and-bound vs exhaustive search."""
 
 import itertools
+import os
+import sys
+import threading
+import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +99,60 @@ class TestKnownInstances:
             solution = solve(model)
             assert model.is_feasible(solution.values)
             assert solution.objective == pytest.approx(0.0, abs=1e-9)
+
+
+class TestThreadedSolves:
+    def test_option_warning_never_escapes_concurrent_solves(self):
+        """``milp`` warns about the forwarded HiGHS options on every call,
+        and scipy's ``LinearConstraint`` enters ``catch_warnings`` with an
+        "error" filter.  ``catch_warnings`` swaps the process-global
+        filter list, so without serialization one thread's exit can
+        restore the list while another thread is still inside ``milp``:
+        the warning then escapes, or is raised as an error.  A race can
+        also leave the silencing filter installed for good, so the window
+        is stressed in short bursts, each under a fresh recording filter
+        list, with more threads than cores and a very short switch
+        interval."""
+        model = knapsack_model([3, 4, 5, 6], [4.0, 5.0, 6.0, 7.0], 10)
+        optimum = exhaustive_optimum(model)
+        threads = min(len(os.sched_getaffinity(0)) + 3, 8)
+        stop = time.monotonic() + 1.5
+        failures: list[BaseException] = []
+        escaped: list[str] = []
+
+        def solve_burst(barrier: threading.Barrier):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(3):
+                    assert solve_with_scipy(model).objective == optimum
+            except BaseException as error:  # reported by the main thread
+                failures.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            while time.monotonic() < stop and not (failures or escaped):
+                barrier = threading.Barrier(threads)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    workers = [
+                        threading.Thread(target=solve_burst, args=(barrier,))
+                        for _ in range(threads)
+                    ]
+                    for worker in workers:
+                        worker.start()
+                    for worker in workers:
+                        worker.join(timeout=60)
+                        assert not worker.is_alive()
+                escaped.extend(
+                    str(warning.message)
+                    for warning in caught
+                    if "Unrecognized options detected" in str(warning.message)
+                )
+        finally:
+            sys.setswitchinterval(previous)
+        assert failures == []
+        assert escaped == []
 
 
 class TestGreedy:
