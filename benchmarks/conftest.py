@@ -8,9 +8,16 @@ runs the complete protocol.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.tuner import LambdaTuneOptions
+
+# The reference implementations are imported as ``tests.oracles`` from
+# the repository root, however pytest was started.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 #: Tuning budget per scenario for benchmark runs (virtual seconds).
 QUICK_BUDGET = 400.0

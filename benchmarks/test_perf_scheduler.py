@@ -17,17 +17,14 @@ import random
 
 import pytest
 
-import repro.db.planner as planner_module
 from repro.core import LambdaTune
 from repro.core.config import Configuration
 from repro.core.evaluator import ConfigMeta, ConfigurationEvaluator
-from repro.core.scheduler import (
-    compute_order_dp,
-    compute_order_dp_reference,
-)
+from repro.core.scheduler import compute_order_dp
 from repro.db.postgres import PostgresEngine
 from repro.llm import SimulatedLLM
 from repro.workloads import job_workload, load_workload, tpch_workload
+from tests.oracles import compute_order_dp_reference, reference_mode
 
 pytestmark = pytest.mark.slow
 
@@ -108,16 +105,12 @@ def test_evaluate_batched(benchmark, n_queries):
 
 @pytest.mark.parametrize("n_queries", [2000])
 def test_evaluate_scalar_reference(benchmark, n_queries):
-    """The retained per-query loop, benchmarked for the speedup ratio."""
+    """The per-query reference loop, benchmarked for the speedup ratio."""
     run = _evaluate_harness(n_queries)
     batched_reference = run()
-    previous = planner_module.VECTORIZED_ENABLED
-    planner_module.VECTORIZED_ENABLED = False
-    try:
+    with reference_mode():
         run()  # warm the scalar path too
         meta = benchmark(run)
-    finally:
-        planner_module.VECTORIZED_ENABLED = previous
     assert meta.is_complete
     assert repr(meta.time) == repr(batched_reference.time)
     assert meta.completed_queries == batched_reference.completed_queries

@@ -8,8 +8,10 @@ implementations and verifies bit-identical results:
    ``compute_order_dp_reference`` (pre-rewrite dict/frozenset spec) at
    n = 8 / 11 / 13 clusters, asserting identical orders.
 2. Full ``tune()`` on TPC-H and JOB, optimized (engine + evaluator
-   caches on, bitmask DP) vs reference (all caches off, reference DP),
-   asserting byte-identical ``TuningResult`` fingerprints.
+   caches on, bitmask DP) vs reference (a ``caches=False`` engine under
+   ``tests.oracles.reference_mode()``: reference DP, per-query planner
+   and evaluate loop), asserting byte-identical ``TuningResult``
+   fingerprints.
 3. Workload compile cache: ``compile_workload`` memoized vs recomputed.
 4. Fault-injection overhead: the engine fault hooks are always compiled
    in; with no :class:`FaultPlan` installed the tuned ``best_time`` must
@@ -33,7 +35,7 @@ implementations and verifies bit-identical results:
    shared must be faster and every fingerprint byte-identical to the
    serial no-cache reference.
 8. Planning throughput: the batched numpy planner
-   (``Planner.plan_many``) vs the retained scalar reference over
+   (``Planner.plan_many``) vs the scalar planner over
    SF100-scale synthetic workloads of 200 / 1000 / 2000 queries (plus
    TPC-H SF100 for reference).  Every plan tree must match the scalar
    planner node-for-node (repr-exact, so bit-identical floats) and the
@@ -41,7 +43,7 @@ implementations and verifies bit-identical results:
    script refuses to write the report otherwise.
 9. Evaluator throughput: the segment-batched ``evaluate`` (whole
    index-stable segments through ``engine.execute_many``) vs the
-   retained scalar per-query loop over SF100-scale synthetic workloads
+   per-query reference loop over SF100-scale synthetic workloads
    of 500 / 2000 queries.  The batched ``ConfigMeta`` must match the
    scalar one ``repr``-exactly (every float bit-for-bit), the batched
    path must be ≥5x faster at ≥2000 queries, and the tuned TPC-H
@@ -66,9 +68,7 @@ implementations and verifies bit-identical results:
     TPC-H jobs at 1 / 2 / 4 / 8 workers, ``executor="process"`` vs
     ``executor="thread"``.  Every point's fingerprints must be
     byte-identical to the 1-worker serial reference (with and without
-    a shared on-disk cache), a pool worker must *attach* the published
-    shared-memory catalog stats (``owndata=False``, read-only) rather
-    than copy or rebuild them, and the seed-9 job's ``best_time`` must
+    a shared on-disk cache), and the seed-9 job's ``best_time`` must
     stay within 2% of the committed ``BENCH_9.json`` value.  On hosts
     with ≥4 usable cores the 4-process-worker point must be ≥2.5x
     faster than 1 worker; on smaller hosts the curve is recorded as
@@ -98,7 +98,6 @@ Writes the combined report to ``BENCH_10.json`` (or ``--output``):
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -106,15 +105,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(1, str(REPO))  # the reference implementations: tests.oracles
 
-import repro.core.evaluator as evaluator_module  # noqa: E402
-import repro.core.tuner as tuner_module  # noqa: E402
-import repro.db.engine as engine_module  # noqa: E402
-import repro.db.planner as planner_module  # noqa: E402
 from repro.cache import ArtifactCache, install_cache  # noqa: E402
 from repro.core import (  # noqa: E402
     BatchJob,
@@ -123,16 +120,17 @@ from repro.core import (  # noqa: E402
     tune_many,
 )
 from repro.core.evaluator import ConfigurationEvaluator  # noqa: E402
-from repro.core.scheduler import (  # noqa: E402
-    compute_order_dp,
-    compute_order_dp_reference,
-)
+from repro.core.scheduler import compute_order_dp  # noqa: E402
 from repro.db.postgres import PostgresEngine  # noqa: E402
 from repro.workloads import (  # noqa: E402
     compile_workload,
     job_workload,
     load_workload,
     tpch_workload,
+)
+from tests.oracles import (  # noqa: E402
+    compute_order_dp_reference,
+    reference_mode,
 )
 
 TUNE_OPTIONS = LambdaTuneOptions(
@@ -195,47 +193,22 @@ def _fingerprint(result) -> dict:
     return result.fingerprint()
 
 
-def _tune_once(workload):
+def _tune_once(workload, caches: bool = True):
     from repro.llm import SimulatedLLM
 
     tuner = LambdaTune(
-        PostgresEngine(workload.catalog), SimulatedLLM(), TUNE_OPTIONS
+        PostgresEngine(workload.catalog, caches=caches),
+        SimulatedLLM(),
+        TUNE_OPTIONS,
     )
     return tuner.tune(list(workload.queries))
 
 
-def _timed_tune(workload) -> tuple[dict, float]:
+def _timed_tune(workload, caches: bool = True) -> tuple[dict, float]:
     start = time.perf_counter()
-    result = _tune_once(workload)
+    result = _tune_once(workload, caches)
     elapsed = time.perf_counter() - start
     return _fingerprint(result), elapsed
-
-
-class _reference_mode:
-    """Disable every optimization: caches off (persistent artifact cache
-    included), reference DP, scalar reference planner."""
-
-    def __enter__(self):
-        self._caches = engine_module.CACHES_ENABLED
-        self._dp = evaluator_module.compute_order_dp
-        self._evaluator = tuner_module.ConfigurationEvaluator
-        self._vectorized = planner_module.VECTORIZED_ENABLED
-        self._artifact_cache = install_cache(None)
-        engine_module.CACHES_ENABLED = False
-        evaluator_module.compute_order_dp = compute_order_dp_reference
-        planner_module.VECTORIZED_ENABLED = False
-        tuner_module.ConfigurationEvaluator = functools.partial(
-            ConfigurationEvaluator, enable_caches=False
-        )
-        return self
-
-    def __exit__(self, *exc):
-        engine_module.CACHES_ENABLED = self._caches
-        evaluator_module.compute_order_dp = self._dp
-        tuner_module.ConfigurationEvaluator = self._evaluator
-        planner_module.VECTORIZED_ENABLED = self._vectorized
-        install_cache(self._artifact_cache)
-        return False
 
 
 def tune_benchmark(workload_name: str, rounds: int) -> dict:
@@ -247,8 +220,8 @@ def tune_benchmark(workload_name: str, rounds: int) -> dict:
         optimized_prints.append(fingerprint)
         optimized_times.append(elapsed)
 
-    with _reference_mode():
-        reference_print, reference_time = _timed_tune(workload)
+    with reference_mode():
+        reference_print, reference_time = _timed_tune(workload, caches=False)
 
     assert all(p == optimized_prints[0] for p in optimized_prints), (
         f"{workload_name}: optimized runs are not deterministic"
@@ -277,11 +250,14 @@ def compile_cache_benchmark(repeats: int) -> dict:
     compiled = compile_workload(workload)
     first_s = time.perf_counter() - start
     cached_s = _best_of(lambda: compile_workload(workload), repeats)
-    with _reference_mode():
-        uncached_s = _best_of(
-            lambda: compile_workload(workload), max(3, repeats // 4)
-        )
-        reference = compile_workload(workload)
+
+    def uncached():
+        engine = PostgresEngine(workload.catalog, caches=False)
+        return compile_workload(workload, engine=engine)
+
+    with reference_mode():
+        uncached_s = _best_of(uncached, max(3, repeats // 4))
+        reference = uncached()
     identical = (
         reference.default_costs == compiled.default_costs
         and reference.join_values == compiled.join_values
@@ -1061,8 +1037,8 @@ def evaluator_throughput_benchmark(tune_report: dict, repeats: int) -> dict:
     """Segment-batched ``evaluate`` vs the retained scalar per-query loop.
 
     Both paths run with warm plan/order/noise caches (one warm-up
-    evaluate each) and differ only in ``VECTORIZED_ENABLED``, so the
-    measurement isolates the execute-loop cost: one ``execute_many``
+    evaluate each); the scalar one runs under ``reference_mode()``, so
+    the measurement isolates the execute-loop cost: one ``execute_many``
     cumsum per index-stable segment against one ``execute`` round-trip
     per query.  Three hard gates refuse the report:
 
@@ -1107,19 +1083,15 @@ def evaluator_throughput_benchmark(tune_report: dict, repeats: int) -> dict:
         def run_evaluate(batched: bool):
             engine = PostgresEngine(workload.catalog)
             evaluator = ConfigurationEvaluator(engine)
-            previous = planner_module.VECTORIZED_ENABLED
-            planner_module.VECTORIZED_ENABLED = batched
 
             def one_pass():
                 meta = ConfigMeta()
                 evaluator.evaluate(config, queries, 1e12, meta)
                 return meta
 
-            try:
+            with nullcontext() if batched else reference_mode():
                 warm_meta = one_pass()  # warm plan/order/noise caches
                 elapsed = _best_of(one_pass, reps)
-            finally:
-                planner_module.VECTORIZED_ENABLED = previous
             return meta_label(warm_meta, engine), elapsed
 
         batched_label, batched_s = run_evaluate(True)
@@ -1136,12 +1108,8 @@ def evaluator_throughput_benchmark(tune_report: dict, repeats: int) -> dict:
         for batched in (True, False):
             engine = PostgresEngine(workload.catalog)
             evaluator = ConfigurationEvaluator(engine)
-            previous = planner_module.VECTORIZED_ENABLED
-            planner_module.VECTORIZED_ENABLED = batched
-            try:
+            with nullcontext() if batched else reference_mode():
                 evaluator.evaluate(config, queries, 1e12, ConfigMeta())
-            finally:
-                planner_module.VECTORIZED_ENABLED = previous
             clocks.append(repr(engine.clock.now))
         if clocks[0] != clocks[1]:
             raise SystemExit(
@@ -1195,11 +1163,11 @@ def evaluator_throughput_benchmark(tune_report: dict, repeats: int) -> dict:
 # -- pytest-benchmark consumption ---------------------------------------------
 
 
-# -- process scale-out (multiprocess tune_many + shared-memory catalogs) ------
+# -- process scale-out (multiprocess tune_many) --------------------------------
 
 
 def scaling_benchmark(jobs: int = 8) -> dict:
-    """Process-pool ``tune_many`` scaling curve with shared-memory catalogs.
+    """Process-pool ``tune_many`` scaling curve.
 
     K CPU-bound TPC-H jobs (distinct seeds, ``realtime_factor=0`` so
     there is nothing for threads to overlap but pure Python/numpy
@@ -1209,9 +1177,6 @@ def scaling_benchmark(jobs: int = 8) -> dict:
     - every curve point's fingerprints must be byte-identical to the
       1-worker serial reference, and a re-run over a shared on-disk
       artifact cache must not perturb them;
-    - a pool worker must *attach* the published shared-memory catalog
-      stats -- ``shared=True``, ``owndata=False``, read-only views --
-      rather than rebuild or copy them;
     - the seed-9 job's ``best_time`` must stay within 2% of the
       committed ``BENCH_9.json`` full-tune value (expected
       bit-identical);
@@ -1220,15 +1185,6 @@ def scaling_benchmark(jobs: int = 8) -> dict:
       smaller hosts the curve is informational, like the
       ``speedup_gate`` idiom in the planning section).
     """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.core.batch import ensure_pool_env, preferred_mp_context
-    from repro.db.shared_stats import (
-        attachment_probe,
-        publish_catalog_stats,
-        register_shared_refs,
-    )
-
     workload = tpch_workload()
     batch = [
         BatchJob(workload=workload, options=TUNE_OPTIONS.ablated(seed=9 + i))
@@ -1274,24 +1230,6 @@ def scaling_benchmark(jobs: int = 8) -> dict:
             "scaling: a shared disk cache perturbed process-worker results"
         )
 
-    # Zero-copy proof: a worker process must attach, not rebuild.
-    publication = publish_catalog_stats([workload.catalog])
-    try:
-        ensure_pool_env()
-        with ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=preferred_mp_context(),
-            initializer=register_shared_refs,
-            initargs=(publication.refs,),
-        ) as pool:
-            probe = pool.submit(attachment_probe, workload.catalog).result()
-    finally:
-        publication.close()
-    if not probe["shared"] or probe["owndata"] or probe["writeable"]:
-        raise SystemExit(
-            f"scaling: worker did not attach shared catalog stats: {probe}"
-        )
-
     process_x4 = curve["process_x4"]["speedup"]
     if gated and process_x4 < 2.5:
         raise SystemExit(
@@ -1329,7 +1267,6 @@ def scaling_benchmark(jobs: int = 8) -> dict:
         "serial_s": round(serial_s, 4),
         "curve": curve,
         "shared_cache_identical": True,
-        "attachment_probe": probe,
         "speedup_gate": "≥2.5x at process_x4" if gated else "informational",
         "selection_gate": gate,
     }
@@ -1600,12 +1537,8 @@ def main() -> None:
                 f"  {label}: {row['wall_s']:.2f} s ({row['speedup']}x), "
                 f"identical={row['result_identical']}"
             )
-        probe = scaling_report["attachment_probe"]
         print(
-            f"  worker attach: shared={probe['shared']}, "
-            f"owndata={probe['owndata']}, writeable={probe['writeable']} "
-            f"({probe['tables']} tables / {probe['columns']} columns); "
-            f"gate {scaling_report['speedup_gate']} "
+            f"  gate {scaling_report['speedup_gate']} "
             f"on {scaling_report['usable_cores']} cores"
         )
         report["scaling"] = scaling_report

@@ -15,16 +15,13 @@ fits wall-clock dominated by engine waits under a positive
 ``realtime_factor`` -- sleeps release the GIL -- and all jobs see the
 same cache object without serialization.  ``executor="process"`` fits
 CPU-bound batches (``realtime_factor=0``): worker processes rebuild each
-job's engine/LLM from the pickled :class:`BatchJob` spec, share the
-on-disk artifact cache via the pool initializer, and attach the
-parent's published shared-memory
-:class:`~repro.db.catalog_stats.CatalogStats` instead of rebuilding them
-(:mod:`repro.db.shared_stats`).  Inside each job, Algorithm 2 evaluates
-one candidate at a time on the job's own engine (the serial
-``RoundDriver`` of :mod:`repro.core.rounds`): jobs are the unit of
-parallelism.  The pool helpers here (:func:`ensure_pool_env`,
-:func:`preferred_mp_context`, :func:`_init_batch_worker`) also back the
-service's process executor.
+job's engine/LLM from the pickled :class:`BatchJob` spec and share the
+on-disk artifact cache.  :func:`job_pool` builds that process pool for
+both drivers, ``tune_many`` and the service's process executor; its
+initializer installs the parent's cache root and nothing else.  Inside
+each job, Algorithm 2 evaluates one candidate at a time on the job's own
+engine (the serial ``RoundDriver`` of :mod:`repro.core.rounds`): jobs
+are the unit of parallelism.
 
 :class:`BatchJob` doubles as the execution recipe for the service layer
 (:mod:`repro.service`): its :meth:`~BatchJob.build_engine` /
@@ -46,7 +43,6 @@ from pathlib import Path
 from repro.cache import ArtifactCache, active_cache, install_cache
 from repro.core.result import TuningResult
 from repro.core.tuner import LambdaTune, LambdaTuneOptions
-from repro.db import engine as engine_module
 from repro.db.engine import DatabaseEngine
 from repro.errors import ConfigurationError
 from repro.llm.client import LLMClient
@@ -214,29 +210,31 @@ def preferred_mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-@dataclass(slots=True)
-class _BatchWorkerContext:
-    """Picklable per-worker setup, shipped once via the pool initializer.
+def _init_batch_worker(cache_root: str | None) -> None:
+    """Process-pool initializer: install the parent's on-disk cache."""
+    if cache_root is not None:
+        install_cache(ArtifactCache(cache_root))
 
-    The initializer payload carries everything a worker process needs to
-    mirror the parent's environment -- the shared on-disk artifact cache
-    root, the zero-copy catalog refs, and the cache regime flag.
+
+def job_pool(max_workers: int) -> ProcessPoolExecutor:
+    """The process pool that runs job bodies for both drivers.
+
+    Workers start from :func:`preferred_mp_context` with the pinned
+    environment of :func:`ensure_pool_env`, and each installs the
+    *root* of the parent's active artifact cache, so every process
+    shares one disk tier (the memory tiers are process-local; the
+    store's atomic ``os.replace`` publishes make the shared tier safe).
+    A memory-only or absent cache gives workers none.
     """
-
-    cache_root: str | None = None
-    shared_refs: dict = field(default_factory=dict)
-    caches_enabled: bool = True
-
-
-def _init_batch_worker(ctx: _BatchWorkerContext) -> None:
-    """Process-pool initializer: cache + shared catalogs, once per worker."""
-    engine_module.CACHES_ENABLED = ctx.caches_enabled
-    if ctx.cache_root is not None:
-        install_cache(ArtifactCache(ctx.cache_root))
-    if ctx.shared_refs:
-        from repro.db.shared_stats import register_shared_refs
-
-        register_shared_refs(ctx.shared_refs)
+    cache = active_cache()
+    cache_root = cache.root if cache is not None else None
+    ensure_pool_env()
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=preferred_mp_context(),
+        initializer=_init_batch_worker,
+        initargs=(cache_root,),
+    )
 
 
 def _check_process_portable(job: BatchJob) -> None:
@@ -249,19 +247,6 @@ def _check_process_portable(job: BatchJob) -> None:
             "executor='process' requires jobs that build their own "
             "engine and LLM (leave BatchJob.engine / BatchJob.llm unset)"
         )
-
-
-def _publish_job_catalogs(jobs: list[BatchJob]):
-    """Publish each distinct job catalog's stats to shared memory."""
-    from repro.db.shared_stats import publish_catalog_stats
-
-    catalogs, seen = [], set()
-    for job in jobs:
-        catalog = job.workload.catalog
-        if id(catalog) not in seen:
-            seen.add(id(catalog))
-            catalogs.append(catalog)
-    return publish_catalog_stats(catalogs)
 
 
 def _default_max_workers(n_jobs: int, executor: str) -> int:
@@ -296,12 +281,10 @@ def tune_many(
     ``executor`` picks the scale-out mechanism.  ``"thread"`` (the
     default, unchanged semantics) runs jobs on a thread pool -- right
     when wall-clock is dominated by engine waits (``realtime_factor``),
-    which release the GIL.  ``"process"`` runs each job in a worker
-    process: jobs are pickled to workers that rebuild engine/LLM from
-    the :class:`BatchJob` spec, install the shared on-disk artifact
-    cache via the pool initializer, and attach zero-copy shared-memory
-    views of every job catalog's :class:`CatalogStats`
-    (:mod:`repro.db.shared_stats`) -- right when jobs are CPU-bound
+    which release the GIL.  ``"process"`` runs each job in a
+    :func:`job_pool` worker process: jobs are pickled to workers that
+    rebuild engine/LLM from the :class:`BatchJob` spec and install the
+    shared on-disk artifact cache -- right when jobs are CPU-bound
     simulation work that a thread pool would serialize on the GIL.
     Results are byte-identical across serial, thread, and process
     paths: each job owns its engine, virtual clock, and LLM client, so
@@ -331,52 +314,14 @@ def tune_many(
         if max_workers == 1:
             return [_run_job(job) for job in jobs]
         if executor == "process":
-            return _tune_many_process(jobs, max_workers, cache_dir)
+            for job in jobs:
+                _check_process_portable(job)
+            # Journaled jobs write their journals from the worker; the
+            # journal file is the job's event stream back to the parent.
+            with job_pool(max_workers) as pool:
+                return list(pool.map(_run_job, jobs))
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(_run_job, jobs))
     finally:
         if cache_dir is not None:
             install_cache(previous)
-
-
-def _tune_many_process(
-    jobs: list[BatchJob],
-    max_workers: int,
-    cache_dir: str | os.PathLike[str] | None,
-) -> list[TuningResult]:
-    """The ``executor="process"`` body of :func:`tune_many`.
-
-    The active cache at this point is the batch cache (installed by the
-    caller); its *root* travels to workers so every process shares the
-    same disk tier (the memory tiers are process-local, which is
-    exactly the cross-process cache-race scenario the store's atomic
-    ``os.replace`` publishes are built for).  Journaled jobs write
-    their journals directly from the worker process -- the journal
-    file on the shared filesystem is the result/event stream back to
-    the parent, same as the service layer reads it.
-    """
-    for job in jobs:
-        _check_process_portable(job)
-    cache = active_cache()
-    cache_root = None
-    if cache_dir is not None:
-        cache_root = os.fspath(cache_dir)
-    elif cache is not None and cache.root is not None:
-        cache_root = cache.root
-    publication = _publish_job_catalogs(jobs)
-    ensure_pool_env()
-    ctx = _BatchWorkerContext(
-        cache_root=cache_root,
-        shared_refs=publication.refs,
-        caches_enabled=engine_module.CACHES_ENABLED,
-    )
-    try:
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=preferred_mp_context(),
-            initializer=_init_batch_worker,
-            initargs=(ctx,),
-        ) as pool:
-            return list(pool.map(_run_job, jobs))
-    finally:
-        publication.close()

@@ -32,7 +32,13 @@ on the pending set:
 
 A cache hit returns exactly what recomputation would: every input that
 could change the result is part of the key, so the memoization is
-bit-transparent (same seed => identical ``TuningResult``).
+bit-transparent (same seed => identical ``TuningResult``).  The
+evaluator memoizes exactly when its engine does (``engine.caches``).
+
+``evaluate`` has one implementation: it runs each index-stable segment
+of the order in one ``engine.execute_many`` call.  The per-query loop
+that states Algorithm 3 literally lives with the other reference
+implementations in the test package (``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from repro.cache import MISS, active_cache
 from repro.core.clustering import cluster_queries
 from repro.core.config import Configuration
 from repro.core.scheduler import MAX_DP_INPUT, compute_order_dp, greedy_order
-from repro.db import planner as planner_module
 from repro.db.engine import DatabaseEngine
 from repro.db.indexes import Index
 from repro.db.resources import ResourceBudget
@@ -102,7 +107,6 @@ class ConfigurationEvaluator:
         lazy_indexes: bool = True,
         max_dp_input: int = MAX_DP_INPUT,
         cluster_seed: int = 0,
-        enable_caches: bool = True,
         budget: ResourceBudget | None = None,
     ) -> None:
         self._engine = engine
@@ -110,7 +114,7 @@ class ConfigurationEvaluator:
         self._lazy_indexes = lazy_indexes
         self._max_dp_input = max_dp_input
         self._cluster_seed = cluster_seed
-        self._enable_caches = enable_caches
+        self._caches = engine.caches
         self._budget = budget
         # query (name, sql) -> columns its predicates touch
         self._predicate_columns: dict[tuple[str, str], frozenset[str]] = {}
@@ -184,10 +188,10 @@ class ConfigurationEvaluator:
         settings -- and any pending subset is answered by lookup.
         """
         indexes = tuple(config.indexes)
-        relevance = self._relevance.get(indexes) if self._enable_caches else None
+        relevance = self._relevance.get(indexes) if self._caches else None
         if relevance is None:
             relevance = {}
-            if self._enable_caches:
+            if self._caches:
                 self._evict_if_full(self._relevance)
                 self._relevance[indexes] = relevance
         index_columns = [(index, index.qualified_columns()) for index in indexes]
@@ -215,7 +219,7 @@ class ConfigurationEvaluator:
             for condition in query.info.join_conditions:
                 found.update(condition.columns)
             columns = frozenset(found)
-            if self._enable_caches:
+            if self._caches:
                 self._evict_if_full(self._predicate_columns)
                 self._predicate_columns[key] = columns
         return columns
@@ -231,7 +235,7 @@ class ConfigurationEvaluator:
         present indexes cost zero).
         """
         key = None
-        if self._enable_caches:
+        if self._caches:
             key = (self._config_key(config), self._engine.config_signature)
             cached = self._index_cost_cache.get(key)
             if cached is not None:
@@ -262,7 +266,7 @@ class ConfigurationEvaluator:
             return list(queries)
 
         key = None
-        if self._enable_caches:
+        if self._caches:
             key = (
                 tuple(query.name for query in queries),
                 self._config_key(config),
@@ -365,40 +369,17 @@ class ConfigurationEvaluator:
         and their times -- is preserved, so selection never re-runs them
         (Algorithm 2's resumability).  The error never propagates.
 
-        Two implementations share this contract bit for bit: the
-        batched path consumes whole index-stable segments through
-        ``engine.execute_many``; the scalar per-query loop is the
-        retained reference, selected by flipping
-        ``repro.db.planner.VECTORIZED_ENABLED`` off (the same switch
-        discipline as the vectorized planner, and what
-        ``scripts/bench.py`` reference mode does).
+        The order decomposes into *segments*: maximal runs whose queries
+        need no new lazy index, so the engine's (settings, index set)
+        signature -- and with it every plan and noise draw -- is
+        constant across the run.  Each segment executes in one
+        ``execute_many`` call, and ``ConfigMeta.time`` adds the
+        segment's times with ``np.cumsum``, the same left-to-right
+        chain as a per-query ``meta.time += s`` loop.
         """
         if meta.failed:
             # Quarantined configurations are never re-evaluated.
             return
-        if planner_module.VECTORIZED_ENABLED:
-            self._evaluate_batched(config, queries, timeout, meta)
-        else:
-            self._evaluate_scalar(config, queries, timeout, meta)
-
-    def _evaluate_batched(
-        self,
-        config: Configuration,
-        queries: list[Query],
-        timeout: float,
-        meta: ConfigMeta,
-    ) -> None:
-        """Segment-batched Algorithm 3 (the production fast path).
-
-        The query order decomposes into *segments*: maximal runs whose
-        queries need no new lazy index, so the engine's (settings,
-        index set) signature -- and with it every plan and noise draw --
-        is constant across the run.  Each segment executes in one
-        ``execute_many`` call; ``ConfigMeta`` is updated in bulk via the
-        same ``np.cumsum`` left-to-right addition chain the scalar
-        ``meta.time += s`` loop performs, so the result is bit-identical
-        to :meth:`_evaluate_scalar`.
-        """
         engine = self._engine
         remaining_time = timeout
         created_here: list[Index] = []
@@ -455,73 +436,13 @@ class ConfigurationEvaluator:
                             meta.completed_queries.add(query.name)
                     remaining_time = batch.remaining
                     if batch.fault is not None:
-                        # The completed prefix is banked above, exactly
-                        # like the scalar loop before the fault raised.
+                        # The completed prefix is banked above, as a
+                        # per-query loop banks it before the fault raises.
                         raise batch.fault
                     if not batch.complete:
                         meta.is_complete = False
                         break
                     position = end
-            except (EngineFaultError, ConfigurationError) as failure:
-                meta.is_complete = False
-                meta.failed = True
-                meta.failure = str(failure)
-            finally:
-                # Indexes created by this evaluation are implicitly dropped so
-                # other configurations start from a clean slate (§5.1).
-                for index in created_here:
-                    engine.drop_index(index)
-
-    def _evaluate_scalar(
-        self,
-        config: Configuration,
-        queries: list[Query],
-        timeout: float,
-        meta: ConfigMeta,
-    ) -> None:
-        """The retained per-query reference loop (Algorithm 3 verbatim)."""
-        engine = self._engine
-        remaining_time = timeout
-        created_here: list[Index] = []
-        preexisting = {index.key for index in engine.indexes}
-
-        with engine.deferred_realtime():
-            try:
-                self._check_budget(config)
-                config.apply_settings(engine)
-                meta.is_complete = True
-
-                index_map = self.query_index_map(queries, config)
-                ordered = self.plan_order(queries, config)
-
-                if not self._lazy_indexes:
-                    # Ablation: build every recommended index up front.
-                    for index in config.indexes:
-                        if index.key not in preexisting:
-                            meta.index_time += engine.create_index(index)
-                            created_here.append(index)
-
-                batch_end = 0
-                for position, query in enumerate(ordered):
-                    if self._lazy_indexes:
-                        for index in sorted(index_map[query.name], key=str):
-                            if index.key in preexisting or engine.has_index(index):
-                                continue
-                            meta.index_time += engine.create_index(index)
-                            created_here.append(index)
-
-                    if planner_module.VECTORIZED_ENABLED and position >= batch_end:
-                        batch_end = self._plan_ahead(
-                            ordered, position, index_map, preexisting
-                        )
-
-                    result = engine.execute(query, timeout=remaining_time)
-                    if not result.complete:
-                        meta.is_complete = False
-                        break
-                    remaining_time -= result.execution_time
-                    meta.time += result.execution_time
-                    meta.completed_queries.add(query.name)
             except (EngineFaultError, ConfigurationError) as failure:
                 meta.is_complete = False
                 meta.failed = True
@@ -560,26 +481,4 @@ class ConfigurationEvaluator:
                 end += 1
         else:
             end = len(ordered)
-        return end
-
-    def _plan_ahead(
-        self,
-        ordered: list[Query],
-        position: int,
-        index_map: dict[str, frozenset],
-        preexisting: set,
-    ) -> int:
-        """Warm the plan cache for the upcoming index-stable query run.
-
-        Plans depend on the engine's (settings, index set) signature,
-        which only changes at lazy index creations, so the run of
-        queries from ``position`` up to the next query needing a new
-        index can be costed in one vectorized ``plan_many`` batch.
-        Planning is a pure derivation -- no clock advance, no fault
-        sites -- so warming ahead of queries that may later time out is
-        only wall-clock work, never a behaviour change.  Returns the
-        exclusive end of the warmed segment.
-        """
-        end = self._segment_end(ordered, position, index_map, preexisting)
-        self._engine.plan_many(ordered[position:end])
         return end

@@ -25,10 +25,9 @@ independent tuning jobs (:func:`repro.core.batch.tune_many` and
 
 Query execution goes through ``ConfigurationEvaluator.evaluate``, which
 runs each index-stable segment of the scheduled order in one batched
-``execute_many`` call (scalar per-query reference retained behind
-``repro.db.planner.VECTORIZED_ENABLED``); the Update timeouts threaded
-from here are consumed by the batch's prefix-sum cut bit-identically
-to the scalar subtraction loop.
+``execute_many`` call; the Update timeouts threaded from here are
+consumed by the batch's prefix-sum cut, bit-identically to subtracting
+each query's time in turn (the per-query loop in ``tests/oracles``).
 
 Theorem 4.3: total evaluation time is O(k * alpha * C_best) for
 alpha >= 2.

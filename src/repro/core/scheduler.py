@@ -2,38 +2,35 @@
 
 Implements the paper's §5.2 cost model (Equation 1) and the §5.3
 dynamic-programming scheduler (Algorithm 4, Selinger-style enumeration
-over query subsets), plus a brute-force oracle used by tests and the
-greedy/arbitrary orders used by the scheduler ablation.
+over query subsets), plus the greedy/arbitrary orders used by the
+scheduler ablation.
 
 Queries are identified by opaque hashable handles; the caller supplies
 ``index_map`` (handle -> set of index keys potentially useful for that
 query) and ``index_cost`` (index key -> creation seconds).
 
-Two DP implementations are provided:
+:func:`compute_order_dp` is the bitmask DP.  Index sets are encoded as
+integers over a canonical (str-sorted) index universe, DP state lives in
+flat arrays of size ``2^n`` indexed by subset mask, order reconstruction
+uses parent pointers instead of per-subset tuple copies, and marginal
+costs are memoized per ``(query, needed-mask)``.  When the index
+universe fits in 63 bits, numpy is available and ``n >= 9``, a hoisted
+kernel computes every mask's created-index set and every query's
+marginal cost once, then scores each subset layer as one matrix; below
+that size the scalar layer loop is faster.  An optional caller-owned
+``memo`` keyed on the encoded input ``(n, qmasks, bit_costs)`` lets
+equal inputs share one solve.
 
-- :func:`compute_order_dp` -- the production bitmask core.  Index sets
-  are encoded as integers over a canonical (str-sorted) index universe,
-  DP state lives in flat arrays of size ``2^n`` indexed by subset mask,
-  order reconstruction uses parent pointers instead of per-subset tuple
-  copies, and marginal costs are memoized per ``(query, needed-mask)``.
-  When the index universe fits in 63 bits, numpy is available and
-  ``n >= 9``, a hoisted kernel computes every mask's created-index set
-  and every query's marginal cost once, then scores each subset layer
-  as one matrix.  An optional caller-owned ``memo`` keyed on the encoded
-  input ``(n, qmasks, bit_costs)`` lets equal inputs share one solve.
-- :func:`compute_order_dp_reference` -- the original dict/frozenset
-  formulation, kept as an executable specification for property tests
-  and for the perf-regression harness (``scripts/bench.py``).
-
-Both sum floating-point costs in the same canonical order (ascending
-str-sorted index universe), so they produce bit-identical orders and
-the result never depends on ``PYTHONHASHSEED`` (set iteration order).
+Costs are summed in one canonical order (ascending str-sorted index
+universe), so the order never depends on ``PYTHONHASHSEED`` (set
+iteration order).  The dict/frozenset formulation of Algorithm 4 and a
+brute-force oracle live in the test package (``tests/oracles``), which
+pins this implementation to them.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Hashable, Mapping, Sequence
 
 try:  # numpy accelerates the subset layers; pure python works without it
@@ -343,86 +340,6 @@ def _subset_tables(n: int) -> tuple:
     return prefixes_without, tuple(layers)
 
 
-def compute_order_dp_reference(
-    queries: Sequence[QueryHandle],
-    index_map: Mapping[QueryHandle, frozenset],
-    index_cost: Mapping[Hashable, float],
-) -> list[QueryHandle]:
-    """The pre-bitmask Algorithm 4 (dict/frozenset states, tuple orders).
-
-    Kept as the executable specification: property tests assert the
-    bitmask core reproduces its output exactly, and ``scripts/bench.py``
-    measures the speedup against it.  Costs are summed in canonical
-    (str-sorted) index order, matching the bitmask encoding.
-    """
-    n = len(queries)
-    if n == 0:
-        return []
-    handles = _checked_handles(queries)
-    index_sets = [index_map.get(handle, frozenset()) for handle in handles]
-
-    # States are bitmasks over query positions.
-    dp_cost: dict[int, float] = {}
-    dp_order: dict[int, tuple[int, ...]] = {}
-    created_for: dict[int, frozenset] = {0: frozenset()}
-
-    for i in range(n):
-        mask = 1 << i
-        weight = n  # position 1 of n
-        dp_cost[mask] = (
-            sum(index_cost[index] for index in sorted(index_sets[i], key=str))
-            * weight
-        )
-        dp_order[mask] = (i,)
-        created_for[mask] = frozenset(index_sets[i])
-
-    full = (1 << n) - 1
-    for size in range(2, n + 1):
-        for subset in _masks_of_size(n, size):
-            best_cost = float("inf")
-            best_order: tuple[int, ...] | None = None
-            weight = n - (size - 1)  # appended query lands at position `size`
-            for i in range(n):
-                bit = 1 << i
-                if not subset & bit:
-                    continue
-                rest = subset ^ bit
-                created = created_for[rest]
-                z = sum(
-                    index_cost[index]
-                    for index in sorted(index_sets[i] - created, key=str)
-                )
-                cost = dp_cost[rest] + z * weight
-                if cost < best_cost - _EPS:
-                    best_cost = cost
-                    best_order = dp_order[rest] + (i,)
-            assert best_order is not None
-            dp_cost[subset] = best_cost
-            dp_order[subset] = best_order
-            created_for[subset] = frozenset().union(
-                *(index_sets[i] for i in range(n) if subset & (1 << i))
-            )
-    return [handles[i] for i in dp_order[full]]
-
-
-def brute_force_order(
-    queries: Sequence[QueryHandle],
-    index_map: Mapping[QueryHandle, frozenset],
-    index_cost: Mapping[Hashable, float],
-) -> list[QueryHandle]:
-    """Exhaustive oracle: minimize Equation 1 over all permutations."""
-    if len(queries) > 8:
-        raise SchedulerError("brute force is limited to 8 queries")
-    best_order = list(queries)
-    best_cost = expected_cost(best_order, index_map, index_cost)
-    for permutation in itertools.permutations(queries):
-        cost = expected_cost(permutation, index_map, index_cost)
-        if cost < best_cost - _EPS:
-            best_cost = cost
-            best_order = list(permutation)
-    return best_order
-
-
 def greedy_order(
     queries: Sequence[QueryHandle],
     index_map: Mapping[QueryHandle, frozenset],
@@ -444,14 +361,3 @@ def greedy_order(
         order.append(next_query)
         created = created | index_map.get(next_query, frozenset())
     return order
-
-
-def _masks_of_size(n: int, size: int):
-    """All n-bit masks with exactly ``size`` bits set, via Gosper's hack."""
-    mask = (1 << size) - 1
-    limit = 1 << n
-    while mask < limit:
-        yield mask
-        lowest = mask & -mask
-        ripple = mask + lowest
-        mask = ripple | (((mask ^ ripple) >> 2) // lowest)

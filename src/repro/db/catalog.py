@@ -125,13 +125,14 @@ class Catalog:
     def __getstate__(self) -> dict:
         """Pickle the schema without the planner's numpy stats view.
 
-        ``catalog_stats`` caches its :class:`CatalogStats` directly on
-        the catalog object; shipping that to a worker process would
-        copy megabytes of float64 arrays per job *and* pre-empt the
-        zero-copy shared-memory attach (``repro.db.shared_stats``),
-        which only fires on a stats-cache miss.  The view is derived
-        state: the far side rebuilds or attaches on demand, bit
-        identically.  The warm analysis/plan tiers
+        ``catalog_stats`` caches its :class:`CatalogStats` on the
+        catalog object.  Its arrays are small (1.2 KB on TPC-H), but the
+        view also holds per-query statics keyed by ``id()`` of the
+        analyzed query, and an ``id()`` means nothing in another
+        process: after one seed-0 TPC-H tune the view pickles to
+        28.8 KB, on top of a 95.9 KB catalog pickle shipped with every
+        pool job.  The view is derived state; the far side rebuilds it
+        on demand, bit identically.  The warm analysis/plan tiers
         (``engine.shared_catalog_cache``) stay in the pickle on
         purpose: a process-pool job worker then starts with them warm.
         """

@@ -44,15 +44,6 @@ INDEX_FANOUT = 256
 #: Safety valve for the per-query statics cache.
 _MAX_QUERY_STATICS = 65536
 
-#: Optional zero-copy attach hook, installed by
-#: ``repro.db.shared_stats.register_shared_refs`` in worker processes.
-#: Consulted by :func:`catalog_stats` on a cache miss; returns a shared
-#: read-only :class:`CatalogStats` for the catalog, or ``None`` to fall
-#: back to a local :meth:`CatalogStats.build`.  ``None`` (the default)
-#: costs one ``is None`` check.
-SHARED_ATTACH_HOOK = None
-
-
 @dataclass(slots=True)
 class QueryStatics:
     """Configuration-independent planning facts for one analyzed query.
@@ -113,12 +104,6 @@ class CatalogStats:
     column_id: dict[tuple[str, str], int]
     column_ndv: np.ndarray
     column_eq_selectivity: np.ndarray
-    #: True when the arrays are read-only views over a
-    #: ``multiprocessing.shared_memory`` segment published by another
-    #: process (see ``repro.db.shared_stats``) rather than locally
-    #: owned buffers.  Purely observational -- the planner never
-    #: mutates these arrays either way.
-    shared: bool = False
     #: Memoized ``Index.size_bytes`` per index key (catalog-dependent).
     _index_sizes: dict[tuple[str, tuple[str, ...]], int] = field(
         default_factory=dict
@@ -309,10 +294,6 @@ def catalog_stats(catalog: Catalog) -> CatalogStats:
     cached = getattr(catalog, "_catalog_stats", None)
     if cached is not None and cached.generation == catalog.generation:
         return cached
-    stats = None
-    if SHARED_ATTACH_HOOK is not None:
-        stats = SHARED_ATTACH_HOOK(catalog)
-    if stats is None:
-        stats = CatalogStats.build(catalog)
+    stats = CatalogStats.build(catalog)
     catalog._catalog_stats = stats  # type: ignore[attr-defined]
     return stats

@@ -11,6 +11,17 @@ need from a DBMS:
 
 All durations advance the engine's :class:`VirtualClock`; nothing in the
 tuning stack ever reads wall-clock time.
+
+Memoization is a property of the engine: ``DatabaseEngine(...,
+caches=False)`` turns off its own memos, the catalog-shared caches and
+the persistent artifact cache for its plans, and every component that
+derives from the engine -- the evaluator, ``compile_workload``,
+``join_condition_values`` -- reads the same setting from it.  The
+caches are bit-transparent, so the setting changes speed only.
+
+Single-query planning (``explain``, ``execute``) is the batch path of
+one query, and the fault-injecting segment loop consults the same
+per-query hook as ``execute``, so each layer has one implementation.
 """
 
 from __future__ import annotations
@@ -39,15 +50,6 @@ from repro.db.resources import ResourceFootprint
 from repro.db.planner import Planner, QueryPlan
 from repro.errors import ConfigurationError, EngineFaultError, TransientEngineError
 from repro.sql.analyzer import QueryInfo, analyze
-
-
-#: Global switch for the engine-level memoization layers (config
-#: signatures, runtime env / planner costs per settings signature, and
-#: the per-catalog shared SQL-analysis cache).  The caches are
-#: semantically transparent -- disabling them changes performance only.
-#: ``scripts/bench.py`` flips this off to measure the un-cached
-#: baseline.
-CACHES_ENABLED = True
 
 
 #: Safety valve for the catalog-shared caches: a pathological stream of
@@ -182,9 +184,15 @@ class DatabaseEngine(abc.ABC):
         catalog: Catalog,
         hardware: HardwareSpec | None = None,
         clock: VirtualClock | None = None,
+        *,
+        caches: bool = True,
     ) -> None:
         self.catalog = catalog
         self.hardware = hardware or HardwareSpec.paper_default()
+        #: Memoize derivations (see the module docstring).  ``False``
+        #: recomputes everything and leaves the catalog-shared caches
+        #: and the persistent artifact cache untouched.
+        self.caches = caches
         self.clock = clock or VirtualClock()
         self._deferred_wait: float | None = None
         # Static knob bounds describe what the DBMS accepts; overlay the
@@ -196,7 +204,7 @@ class DatabaseEngine(abc.ABC):
         self._config: dict[str, object] = dict(self.knob_space.defaults())
         self._indexes: dict[tuple[str, tuple[str, ...]], Index] = {}
         self._column_owner = catalog.column_owner_map()
-        if CACHES_ENABLED:
+        if caches:
             self._analysis_cache = shared_analysis_cache(catalog)
             self._plan_cache = shared_plan_cache(catalog)
         else:
@@ -243,7 +251,7 @@ class DatabaseEngine(abc.ABC):
 
     def planner_costs(self) -> PlannerCosts:
         """Configured optimizer constants, memoized per settings state."""
-        if not CACHES_ENABLED:
+        if not self.caches:
             return self._planner_costs()
         costs = self._planner_costs_cache.get(self._settings_text)
         if costs is None:
@@ -253,7 +261,7 @@ class DatabaseEngine(abc.ABC):
 
     def runtime_env(self) -> RuntimeEnv:
         """True execution environment, memoized per settings state."""
-        if not CACHES_ENABLED:
+        if not self.caches:
             return self._runtime_env()
         env = self._env_cache.get(self._settings_text)
         if env is None:
@@ -471,9 +479,7 @@ class DatabaseEngine(abc.ABC):
 
     def explain(self, query: "str | object") -> QueryPlan:
         """Plan a query with current settings without executing it."""
-        name, sql, info = self._query_parts(query)
-        plan, _ = self._planned(name, sql, info)
-        return plan
+        return self.plan_many([query])[0]
 
     def estimate_seconds(self, query: "str | object") -> float:
         """Simulated runtime under current settings, without executing."""
@@ -482,12 +488,11 @@ class DatabaseEngine(abc.ABC):
         return seconds
 
     def plan_many(self, queries: list) -> list[QueryPlan]:
-        """Batched :meth:`explain`: plan a whole workload in one pass.
+        """Plan a whole workload in one pass (:meth:`explain` of many).
 
-        Cache misses are costed together by ``Planner.plan_many`` (the
-        vectorized core) and stored through the same in-process and
-        persistent plan caches as :meth:`explain`, so results are
-        bit-identical to planning each query alone.
+        Cache misses are costed together by ``Planner.plan_many`` and
+        stored in the in-process and persistent plan caches; a plan is
+        bit-identical whether its query was planned alone or in a batch.
         """
         parts = [self._query_parts(query) for query in queries]
         return [plan for plan, _ in self._planned_batch(parts)]
@@ -523,11 +528,12 @@ class DatabaseEngine(abc.ABC):
     def _planned_batch(
         self, parts: list[tuple[str, str, QueryInfo]]
     ) -> list[tuple[QueryPlan, float]]:
-        """Batch counterpart of ``_planned``, minus the per-name noise.
+        """``(plan, base_seconds)`` per ``(name, sql, info)`` part.
 
-        Returns ``(plan, base_seconds)`` per input part, with
-        ``base_seconds`` excluding the deterministic noise exactly like
-        the values ``_planned`` caches.
+        ``base_seconds`` excludes the per-name deterministic noise.
+        Plans are cached by SQL text, not name: the cache is shared by
+        every engine over this catalog, where distinct workloads may
+        reuse query names.
         """
         system = self.system
         hardware = self.hardware
@@ -550,7 +556,7 @@ class DatabaseEngine(abc.ABC):
 
         fresh: dict[str, tuple[QueryPlan, float]] = {}
         if missing:
-            persistent = active_cache() if CACHES_ENABLED else None
+            persistent = active_cache() if self.caches else None
             unplanned: dict[str, QueryInfo] = {}
             for sql, info in missing.items():
                 cached = None
@@ -566,7 +572,7 @@ class DatabaseEngine(abc.ABC):
                 env = self.runtime_env()
                 selectivity_cache = (
                     shared_catalog_cache(self.catalog, "selectivity")
-                    if CACHES_ENABLED
+                    if self.caches
                     else None
                 )
                 planner = Planner(
@@ -579,9 +585,9 @@ class DatabaseEngine(abc.ABC):
                 sqls = list(unplanned)
                 plans = planner.plan_many([unplanned[sql] for sql in sqls])
                 # ``plan.actual_cost`` inlined (same left-to-right adds)
-                # with the env factors hoisted; the multiplication chain
-                # keeps the reference's order, so the product is
-                # bit-identical to what ``_planned`` caches.
+                # with the env factors hoisted, multiplied in the order
+                # ``actual_cost * seconds_per_cost_unit * logging_factor
+                # * swap_factor``.
                 seconds_per_cost_unit = env.seconds_per_cost_unit
                 logging_factor = env.logging_factor
                 swap_factor = env.swap_factor
@@ -643,7 +649,7 @@ class DatabaseEngine(abc.ABC):
         draws behind them are what the memo saves.
         """
         signature = self._config_signature
-        if not CACHES_ENABLED:
+        if not self.caches:
             return deterministic_noise_vector(
                 [(self.system, name, signature) for name in names]
             )
@@ -700,7 +706,7 @@ class DatabaseEngine(abc.ABC):
         names: tuple | None = None
         cache_key: tuple | None = None
         seconds: np.ndarray | None = None
-        if CACHES_ENABLED:
+        if self.caches:
             try:
                 names = tuple(query.name for query in queries)
                 cache_key = (
@@ -767,82 +773,33 @@ class DatabaseEngine(abc.ABC):
         seconds: np.ndarray,
         timeout: float | None,
     ) -> BatchExecution:
-        """Segment loop with the pure fault draws pre-drawn.
+        """The segment as ``execute``'s per-query loop, with faults.
 
-        Transient retry counts, OOM firings and crash decisions depend
-        only on ``(seed, site, key)``, so they are drawn up front for
-        the whole segment; the timeout-dependent outcome logic runs
-        in-loop against the running budget, mirroring ``execute`` +
-        ``_inject_faults`` branch for branch (including the
-        budget-beats-fault fall-throughs).  The first firing fault
-        truncates the batch at the same query the scalar loop would.
+        Each query consults :meth:`_inject_faults` exactly as
+        :meth:`execute` does, against the running budget; the first
+        fault truncates the segment and is returned, not raised.
         """
-        plan = self.fault_plan
-        signature = self._config_signature
-        keys = [f"query:{name}|{signature:016x}" for name in names]
-        retries = [plan.transient_count("engine.io_transient", key) for key in keys]
-        oom_fires = [plan.fires("engine.oom", key) for key in keys]
-        # The swap gate reads only settings-derived state, constant
-        # across the segment; computed lazily so segments without an
-        # OOM draw skip it, like the scalar hook.
-        swap_gate: bool | None = None
-        max_retry_sunk = self.io_retry_seconds * self.max_io_retries
-
         clock = self.clock
         remaining = timeout
         times: list[float] = []
         complete = True
         fault: EngineFaultError | None = None
-        for position in range(len(names)):
+        for name, value in zip(names, seconds):
             if remaining is not None and remaining <= 0:
                 complete = False
                 break
-            run_seconds = float(seconds[position])
-            key = keys[position]
-            if retries[position] > self.max_io_retries:
-                if remaining is None or max_retry_sunk <= remaining:
-                    clock.advance(max_retry_sunk)
-                    self._realtime_wait(max_retry_sunk)
-                    fault = TransientEngineError(
-                        "persistent I/O errors",
-                        site="engine.io_transient",
-                        key=key,
-                        seed=plan.seed,
-                    )
-                    complete = False
-                    break
-                # Budget fires first: the storm stays invisible and the
-                # *un-inflated* runtime faces the ordinary timeout check.
-            else:
-                for _ in range(retries[position]):
-                    run_seconds += self.io_retry_seconds
-                decision = None
-                fault_message = "query crashed"
-                if oom_fires[position]:
-                    if swap_gate is None:
-                        swap_gate = (
-                            self.runtime_env().swap_factor > self.oom_swap_threshold
-                        )
-                    if swap_gate:
-                        decision = plan.decide("engine.oom", key)
-                        fault_message = "out of memory"
-                if decision is None:
-                    decision = plan.decide("engine.query_crash", key)
-                if decision is not None:
-                    sunk = run_seconds * decision.magnitude
-                    if remaining is None or sunk <= remaining:
-                        clock.advance(sunk)
-                        self._realtime_wait(sunk)
-                        fault = EngineFaultError(
-                            fault_message,
-                            site=decision.site,
-                            key=decision.key,
-                            seed=decision.seed,
-                        )
-                        complete = False
-                        break
-                    # The timeout fires first; the caller sees an
-                    # ordinary incomplete execution, never the crash.
+            try:
+                run_seconds = self._inject_faults(
+                    "engine.query_crash",
+                    f"query:{name}",
+                    float(value),
+                    remaining,
+                    "query crashed",
+                )
+            except EngineFaultError as error:
+                fault = error
+                complete = False
+                break
             if remaining is not None and run_seconds > remaining:
                 clock.advance(remaining)
                 self._realtime_wait(remaining)
@@ -959,62 +916,10 @@ class DatabaseEngine(abc.ABC):
         return name, sql, info
 
     def _planned(self, name: str, sql: str, info: QueryInfo) -> tuple[QueryPlan, float]:
-        # Keyed by SQL text (not name): the cache is shared across all
-        # engines over this catalog, where distinct workloads may reuse
-        # query names.  The cached seconds exclude the per-query noise,
-        # which depends on the name and is applied below -- in the same
-        # float-operation order as the uncached computation.
-        key = (self.system, self.hardware, sql, self._config_signature)
-        cached = self._plan_cache.get(key)
-        if cached is None:
-            persistent = active_cache() if CACHES_ENABLED else None
-            material = None
-            if persistent is not None:
-                material = (
-                    self.system,
-                    (
-                        self.hardware.memory_gb,
-                        self.hardware.cores,
-                        self.hardware.disk_mb_per_s,
-                    ),
-                    self.catalog.content_fingerprint(),
-                    self.content_key(),
-                    sql,
-                )
-                value = persistent.fetch("plan", material)
-                if value is not MISS:
-                    cached = value
-            if cached is None:
-                env = self.runtime_env()
-                selectivity_cache = (
-                    shared_catalog_cache(self.catalog, "selectivity")
-                    if CACHES_ENABLED
-                    else None
-                )
-                planner = Planner(
-                    self.catalog,
-                    self._indexes,
-                    self.planner_costs(),
-                    env,
-                    selectivity_cache=selectivity_cache,
-                )
-                plan = planner.plan(info)
-                base_seconds = (
-                    plan.actual_cost
-                    * env.seconds_per_cost_unit
-                    * env.logging_factor
-                    * env.swap_factor
-                )
-                cached = (plan, base_seconds)
-                if persistent is not None:
-                    persistent.store("plan", material, cached)
-            if len(self._plan_cache) > _MAX_SHARED_CACHE_ENTRIES:
-                self._plan_cache.clear()
-            self._plan_cache[key] = cached
-        plan, seconds = cached
+        """One query's plan and noisy seconds: ``_planned_batch`` of one."""
+        ((plan, seconds),) = self._planned_batch([(name, sql, info)])
         seconds *= deterministic_noise(self.system, name, self._config_signature)
-        seconds = max(seconds, 1e-4)
-        return plan, seconds
+        return plan, max(seconds, 1e-4)
 
     def _refresh_settings_text(self) -> None:
         """Rebuild the settings half of the signature text.
@@ -1033,7 +938,7 @@ class DatabaseEngine(abc.ABC):
         # selection round, so signatures for recurring (settings, index
         # set) states are memoized.
         key = (self._settings_text, tuple(sorted(self._indexes)))
-        if CACHES_ENABLED:
+        if self.caches:
             cached = self._signature_cache.get(key)
             if cached is not None:
                 self._config_signature = cached
@@ -1041,7 +946,7 @@ class DatabaseEngine(abc.ABC):
         text = key[0] + "#" + ",".join(str(index_key) for index_key in key[1])
         digest = hashlib.sha256(text.encode()).digest()
         signature = int.from_bytes(digest[:8], "big")
-        if CACHES_ENABLED:
+        if self.caches:
             self._signature_cache[key] = signature
         self._config_signature = signature
 

@@ -8,7 +8,6 @@ values from the simulated engines' plans.
 
 from __future__ import annotations
 
-from repro.db import engine as engine_module
 from repro.db.engine import DatabaseEngine, shared_catalog_cache
 from repro.sql.analyzer import JoinCondition
 
@@ -29,11 +28,11 @@ def join_condition_values(
     workload-compile cache: every tuner instantiation re-extracts the
     same snippet values from the same default plans, so the result is
     memoized per (system, hardware, configuration signature, query set)
-    on the catalog.
+    on the catalog, unless the engine was built with ``caches=False``.
     """
     cache = None
     key = None
-    if engine_module.CACHES_ENABLED:
+    if engine.caches:
         cache = shared_catalog_cache(engine.catalog, "join_values")
         key = _workload_key(engine, queries)
         cached = cache.get(key)

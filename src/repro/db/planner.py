@@ -44,13 +44,6 @@ _INDEX_FANOUT = 256
 # Width in bytes contributed by each joined table to intermediate rows.
 _JOIN_ROW_WIDTH = 32
 
-#: Module switch for the batched numpy planner (``repro.db.planner_vec``).
-#: The scalar ``Planner.plan`` below is the retained reference
-#: implementation; flipping this off routes every ``plan_many`` batch
-#: through it (bench reference mode, equivalence tests).
-VECTORIZED_ENABLED = True
-
-
 @dataclass(slots=True)
 class ScanNode:
     """Access path for one base table."""
@@ -183,21 +176,15 @@ class Planner:
         plan.out_rows = out_rows
         return plan
 
-    def plan_many(
-        self, infos: list[QueryInfo], *, vectorized: bool | None = None
-    ) -> list[QueryPlan]:
+    def plan_many(self, infos: list[QueryInfo]) -> list[QueryPlan]:
         """Build plans for a batch of analyzed queries.
 
-        With vectorization enabled (the module default) the batch is
-        costed in array passes by ``repro.db.planner_vec`` --
-        bit-identical to calling :meth:`plan` per query, which remains
-        the reference path.  ``vectorized`` forces one path explicitly
-        (equivalence tests, bench reference mode); when left ``None``,
-        single-query batches use the scalar path since arrays only pay
-        off across queries.
+        Batches of two or more are costed in array passes by
+        ``repro.db.planner_vec``, bit-identical to calling :meth:`plan`
+        per query; a single query takes :meth:`plan`, since arrays only
+        pay off across queries.
         """
-        use_vectorized = VECTORIZED_ENABLED if vectorized is None else vectorized
-        if infos and use_vectorized and (vectorized is not None or len(infos) > 1):
+        if len(infos) > 1:
             from repro.db.planner_vec import plan_many_vectorized
 
             return plan_many_vectorized(self, infos)

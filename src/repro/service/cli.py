@@ -253,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--executor", choices=("thread", "process"),
                      default="thread",
                      help="job execution: worker threads (default; best "
-                          "with realtime waits) or a process pool with "
-                          "shared-memory catalog stats (best for "
-                          "CPU-bound jobs)")
+                          "with realtime waits) or a process pool (best "
+                          "for CPU-bound jobs)")
     run.add_argument("--cache-dir", default=None,
                      help="shared cross-tenant artifact cache directory")
     run.add_argument("--aging", type=int, default=1,

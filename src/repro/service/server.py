@@ -5,7 +5,9 @@
 - jobs are :class:`~repro.service.jobs.JobSpec`\\ s persisted
   write-ahead under the service root, admitted through a
   :class:`~repro.service.queue.JobQueue` (priorities, aging,
-  per-tenant quotas), and run by a pool of worker threads;
+  per-tenant quotas), and run by a pool of worker threads; with
+  ``executor="process"`` each job body runs in a worker process of
+  :func:`~repro.core.batch.job_pool`, the pool ``tune_many`` uses;
 - every job executes as a PR-4 :class:`~repro.session.TuningSession`
   whose journal *is* the durable job record: :meth:`TuningServer.start`
   discovers incomplete journals (torn tails included) and resumes them
@@ -45,16 +47,12 @@ from repro.cache import ArtifactCache, active_cache, install_cache
 from repro.core.batch import (
     BATCH_EXECUTORS,
     BatchJob,
-    _BatchWorkerContext,
     _check_process_portable,
-    _init_batch_worker,
-    ensure_pool_env,
-    preferred_mp_context,
+    job_pool,
     resume_job,
     run_job,
 )
 from repro.core.result import TuningResult
-from repro.db import engine as engine_module
 from repro.errors import (
     ConfigurationError,
     JobCancelledError,
@@ -184,11 +182,10 @@ class TuningServer:
     executor:
         ``"thread"`` (default) runs job bodies on the worker threads
         themselves.  ``"process"`` keeps the threads for queueing,
-        leases, and state, but dispatches each job body to a process
-        pool: the child rebuilds engine/LLM from the job spec, installs
-        the shared on-disk cache, and attaches the shared-memory
-        catalog stats published from the workload resolver at
-        :meth:`start`.  Right for CPU-bound jobs
+        leases, and state, but dispatches each job body to a
+        :func:`~repro.core.batch.job_pool` process pool: the child
+        rebuilds engine/LLM from the job spec and installs the shared
+        on-disk cache.  Right for CPU-bound jobs
         (``realtime_factor=0``) that worker threads would serialize on
         the GIL; results stay byte-identical either way.  Cache-counter
         deltas (:meth:`tenant_cache_stats`) accrue in the children and
@@ -238,7 +235,6 @@ class TuningServer:
             )
         self.executor = executor
         self._pool: ProcessPoolExecutor | None = None
-        self._publication = None
         self._workers_wanted = max(1, workers)
         self._cache_dir = cache_dir
         self._previous_cache: ArtifactCache | None = None
@@ -282,42 +278,13 @@ class TuningServer:
     def _start_pool(self) -> None:
         """Bring up the process pool (``executor="process"`` only).
 
-        Runs after the cache install so the children inherit the
-        server's cache root, and after ``_recover`` so the resolver
-        holds every workload the recovered jobs reference: their
-        catalog stats are published to shared memory here, once, and
-        every pool worker attaches the same read-only segments.
-        Workloads first seen in a later ``submit()`` still work -- the
-        child simply builds those stats locally (sharing is an
-        accelerator, never a correctness dependency).
+        Runs after the cache install, so the children inherit the
+        server's cache root.
         """
-        from repro.db.shared_stats import publish_catalog_stats
-
-        catalogs, seen = [], set()
-        for workload in self._resolver.values():
-            if id(workload.catalog) not in seen:
-                seen.add(id(workload.catalog))
-                catalogs.append(workload.catalog)
-        self._publication = publish_catalog_stats(catalogs)
-        cache = active_cache()
-        cache_root = (
-            cache.root if cache is not None and cache.root is not None else None
-        )
-        ensure_pool_env()
-        ctx = _BatchWorkerContext(
-            cache_root=cache_root,
-            shared_refs=self._publication.refs,
-            caches_enabled=engine_module.CACHES_ENABLED,
-        )
-        self._pool = ProcessPoolExecutor(
-            max_workers=self._workers_wanted,
-            mp_context=preferred_mp_context(),
-            initializer=_init_batch_worker,
-            initargs=(ctx,),
-        )
+        self._pool = job_pool(self._workers_wanted)
 
     def _teardown_pool(self, *, terminate: bool = False) -> None:
-        """Shut the pool down and unlink the shared-stats segments."""
+        """Shut the pool down; ``terminate`` kills the children first."""
         if self._pool is not None:
             if terminate:
                 # kill -9 fidelity: children die mid-write, leaving
@@ -328,9 +295,6 @@ class TuningServer:
                     process.terminate()
             self._pool.shutdown(wait=not terminate, cancel_futures=True)
             self._pool = None
-        if self._publication is not None:
-            self._publication.close()
-            self._publication = None
 
     def _recover(self) -> None:
         """Rebuild queue state from the root's spec files and journals.

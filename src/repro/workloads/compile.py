@@ -6,8 +6,8 @@ join snippets from default plans, and re-estimates default query costs
 -- once per candidate configuration, per baseline, and per benchmark
 figure.  :func:`compile_workload` computes them once per
 ``(workload, system, hardware)`` key into a picklable
-:class:`CompiledWorkload` artifact that is shared by the parallel
-selector's worker processes, the baselines, and the figure runners.
+:class:`CompiledWorkload` artifact that is shared by the tuners, the
+baselines, and the figure runners.
 
 The artifact piggybacks on the catalog-shared caches (see
 ``repro.db.engine.shared_catalog_cache``): building it warms the
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache import MISS, active_cache
-from repro.db import engine as engine_module
 from repro.db.engine import DatabaseEngine, shared_catalog_cache
 from repro.db.explain import join_condition_values
 from repro.db.hardware import HardwareSpec
@@ -89,7 +88,8 @@ def compile_workload(
     default engine is built.  The result is cached per
     ``(workload name, system, hardware, query set)`` on the catalog
     object, so repeated calls -- one per tuner, per baseline, per figure
-    -- return the same artifact.
+    -- return the same artifact.  An engine built with ``caches=False``
+    recomputes it and touches neither that cache nor the persistent one.
     """
     if engine is not None:
         system = engine.system
@@ -100,7 +100,8 @@ def compile_workload(
     names = tuple(query.name for query in workload.queries)
     cache = None
     key = None
-    if engine_module.CACHES_ENABLED:
+    caches = engine is None or engine.caches
+    if caches:
         cache = shared_catalog_cache(workload.catalog, "compiled")
         if engine is not None:
             # The artifact depends on the engine's full state: settings
@@ -122,7 +123,7 @@ def compile_workload(
     # hardware, engine settings + physical design, and every query's
     # name and SQL), so a warm hit from disk is exactly the artifact a
     # cold compile would produce.
-    persistent = active_cache() if engine_module.CACHES_ENABLED else None
+    persistent = active_cache() if caches else None
     material = None
     if persistent is not None:
         material = (

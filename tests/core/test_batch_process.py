@@ -8,7 +8,6 @@ without a deterministic :class:`FaultPlan` -- plus the executor-aware
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -16,7 +15,7 @@ from repro.cache import install_cache
 from repro.core import BatchJob, LambdaTuneOptions, tune_many
 from repro.core.batch import (
     _default_max_workers,
-    ensure_pool_env,
+    job_pool,
     preferred_mp_context,
     resume_job,
     run_job,
@@ -129,10 +128,7 @@ class TestProcessResume:
             BatchJob(workload=tiny_workload, options=OPTIONS)
         ).fingerprint()
         run_job(job)  # complete journal on disk
-        ensure_pool_env()
-        with ProcessPoolExecutor(
-            max_workers=1, mp_context=preferred_mp_context()
-        ) as pool:
+        with job_pool(1) as pool:
             resumed = pool.submit(resume_job, job).result()
         assert resumed.fingerprint() == reference
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import Configuration
 from repro.core.evaluator import ConfigMeta, ConfigurationEvaluator
 from repro.db.indexes import Index
+from repro.db.postgres import PostgresEngine
 
 
 @pytest.fixture()
@@ -61,8 +62,6 @@ class TestQueryIndexMap:
 
 
     def test_pending_subset_is_restriction_of_full_map(self, job):
-        from repro.db.postgres import PostgresEngine
-
         config = Configuration(
             "c",
             indexes=[
@@ -72,9 +71,10 @@ class TestQueryIndexMap:
                 Index("title", ("production_year",)),
             ],
         )
-        engine = PostgresEngine(job.catalog)
-        cached = ConfigurationEvaluator(engine)
-        uncached = ConfigurationEvaluator(engine, enable_caches=False)
+        cached = ConfigurationEvaluator(PostgresEngine(job.catalog))
+        uncached = ConfigurationEvaluator(
+            PostgresEngine(job.catalog, caches=False)
+        )
         queries = list(job.queries)
         full = cached.query_index_map(queries, config)
         assert full == uncached.query_index_map(queries, config)
@@ -112,7 +112,9 @@ class TestQueryIndexMap:
         kind_map = evaluator.query_index_map([by_kind], config)
         assert {index.name for index in age_map["q"]} == {"idx_users_age"}
         assert {index.name for index in kind_map["q"]} == {"idx_events_kind"}
-        fresh = ConfigurationEvaluator(pg_engine, enable_caches=False)
+        fresh = ConfigurationEvaluator(
+            PostgresEngine(tiny_catalog, caches=False)
+        )
         assert kind_map == fresh.query_index_map([by_kind], config)
 
 

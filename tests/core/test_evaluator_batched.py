@@ -1,7 +1,7 @@
 """Batched execution (``execute_many`` + segment-batched evaluate).
 
-The batched path must be *byte-identical* to the retained scalar
-reference loop -- same completed-query sets, same ``ConfigMeta.time``
+The batched path must be *byte-identical* to the per-query reference
+loop in ``tests.oracles`` -- same completed-query sets, same ``ConfigMeta.time``
 floats, same quarantine labels, same ``TuningResult.fingerprint()`` --
 across seeds and chaos fault plans.  The suite pins:
 
@@ -23,12 +23,11 @@ across seeds and chaos fault plans.  The suite pins:
 """
 
 import json
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-import repro.db.planner as planner_module
 from repro.core.config import Configuration
 from repro.core.evaluator import ConfigMeta, ConfigurationEvaluator
 from repro.db.clock import VirtualClock
@@ -39,6 +38,7 @@ from repro.faults import FaultPlan
 from repro.session import codec
 from tests.faults.test_chaos import chaos_plan, chaos_tune
 from tests.faults.test_chaos import fingerprint as tune_fingerprint
+from tests.oracles import reference_mode
 from tests.session.conftest import (
     fingerprint as session_fingerprint,
 )
@@ -52,20 +52,9 @@ SEEDS = list(range(8))
 DENSITIES = (0.05, 0.15, 0.4)
 
 
-@contextmanager
-def scalar_reference():
-    """Run the retained scalar reference implementation."""
-    previous = planner_module.VECTORIZED_ENABLED
-    planner_module.VECTORIZED_ENABLED = False
-    try:
-        yield
-    finally:
-        planner_module.VECTORIZED_ENABLED = previous
-
-
 def scalar_segment_run(engine, queries, timeout):
     """The scalar loop ``execute_many`` replaces, threading the timeout
-    exactly as ``ConfigurationEvaluator._evaluate_scalar`` does."""
+    exactly as ``tests.oracles.evaluate_scalar`` does."""
     remaining = timeout
     times = []
     complete = True
@@ -243,14 +232,10 @@ class TestEvaluateBatchedEqualsScalar:
                 engine.install_faults(plan)
             evaluator = ConfigurationEvaluator(engine, **options)
             meta = ConfigMeta()
-            previous = planner_module.VECTORIZED_ENABLED
-            planner_module.VECTORIZED_ENABLED = batched
-            try:
+            with nullcontext() if batched else reference_mode():
                 evaluator.evaluate(
                     eval_config(), list(workload.queries), timeout, meta
                 )
-            finally:
-                planner_module.VECTORIZED_ENABLED = previous
             labels.append(meta_label(meta))
             clocks.append(repr(engine.clock.now))
         assert labels[0] == labels[1], f"timeout={timeout!r}, plan={plan!r}"
@@ -306,7 +291,7 @@ class TestFullTuneEquivalence:
         kwargs = dict(llm_faults=faulty, **option_changes)
 
         batched = chaos_tune(tpch, plan, **kwargs)
-        with scalar_reference():
+        with reference_mode():
             scalar = chaos_tune(tpch, plan, **kwargs)
         assert tune_fingerprint(batched) == tune_fingerprint(scalar), (
             f"batched tune diverged from scalar reference "
@@ -320,7 +305,7 @@ class TestFullTuneEquivalence:
 class TestResumeMidSegment:
     def test_mid_segment_boundaries_resume_identically(self, tpch, tmp_path):
         reference = plain_tune(tpch)
-        with scalar_reference():
+        with reference_mode():
             scalar = plain_tune(tpch)
         assert session_fingerprint(reference) == session_fingerprint(scalar)
 

@@ -17,6 +17,7 @@ import repro.core.evaluator as evaluator_module
 from repro.core.config import Configuration
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.db.indexes import Index
+from repro.db.postgres import PostgresEngine
 
 
 @pytest.fixture()
@@ -56,7 +57,9 @@ class TestOrderCacheHits:
     def test_caches_disabled_recomputes(
         self, pg_engine, tiny_workload, config, count_dp
     ):
-        evaluator = ConfigurationEvaluator(pg_engine, enable_caches=False)
+        evaluator = ConfigurationEvaluator(
+            PostgresEngine(pg_engine.catalog, caches=False)
+        )
         queries = list(tiny_workload.queries)
         evaluator.plan_order(queries, config)
         evaluator.plan_order(queries, config)
@@ -169,7 +172,9 @@ class TestCacheTransparency:
     ):
         queries = list(tiny_workload.queries)
         cached = ConfigurationEvaluator(pg_engine)
-        uncached = ConfigurationEvaluator(pg_engine, enable_caches=False)
+        uncached = ConfigurationEvaluator(
+            PostgresEngine(pg_engine.catalog, caches=False)
+        )
         for pending in (queries, queries[1:], queries):
             assert [
                 q.name for q in cached.plan_order(pending, config)

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.scheduler import (
     MAX_DP_INPUT,
-    brute_force_order,
     compute_order_dp,
     expected_cost,
     greedy_order,
     marginal_index_cost,
 )
 from repro.errors import SchedulerError
+from tests.oracles import brute_force_order
 
 
 def scenario(index_map, costs):

@@ -1,9 +1,9 @@
 """Bitmask DP core vs. executable specification and oracle.
 
 The production scheduler (:func:`compute_order_dp`) is a bitmask
-rewrite of the original dict/frozenset Algorithm 4, kept as
-:func:`compute_order_dp_reference`.  These tests pin the rewrite to the
-specification:
+rewrite of the original dict/frozenset Algorithm 4, kept as the test
+oracle ``tests.oracles.compute_order_dp_reference``.  These tests pin
+the rewrite to the specification:
 
 - for n <= 8 the bitmask order achieves exactly the brute-force-optimal
   Equation-1 cost,
@@ -25,11 +25,10 @@ from repro.core.scheduler import (
     _dp_parents_scalar,
     _dp_parents_vectorized,
     _encode_bitmasks,
-    brute_force_order,
     compute_order_dp,
-    compute_order_dp_reference,
     expected_cost,
 )
+from tests.oracles import brute_force_order, compute_order_dp_reference
 
 
 def _random_instance(rng: random.Random, n_queries: int):

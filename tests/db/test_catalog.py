@@ -1,8 +1,11 @@
 """Catalog and statistics tests."""
 
+import pickle
+
 import pytest
 
 from repro.db.catalog import PAGE_SIZE, Catalog, Column, Table
+from repro.db.catalog_stats import catalog_stats
 from repro.errors import CatalogError
 
 
@@ -126,3 +129,12 @@ class TestScaling:
     def test_original_untouched(self, tiny_catalog):
         tiny_catalog.scaled(5.0)
         assert tiny_catalog.table("users").rows == 10_000
+
+
+class TestPickling:
+    def test_catalog_pickle_drops_stats_view(self, tiny_catalog):
+        catalog_stats(tiny_catalog)
+        assert "_catalog_stats" in tiny_catalog.__dict__
+        clone = pickle.loads(pickle.dumps(tiny_catalog))
+        assert "_catalog_stats" not in clone.__dict__
+        assert clone.content_fingerprint() == tiny_catalog.content_fingerprint()

@@ -2,8 +2,9 @@
 
 The contract under test: ``Planner.plan_many`` through
 ``repro.db.planner_vec`` produces plan-for-plan identical trees and
-bit-identical cost floats to the retained scalar reference
-(``Planner.plan``), over randomized generated workloads, across
+bit-identical cost floats to the scalar planner (``Planner.plan`` per
+query, the ``tests.oracles`` reference), over randomized generated
+workloads, across
 PYTHONHASHSEED subprocesses, through a full configuration selection,
 and under catalog mutation (generation-counter invalidation of ``CatalogStats``).
 
@@ -14,6 +15,7 @@ the randomized sweeps and subprocess matrices carry ``slow``.
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +42,11 @@ from repro.db.cost_model import (
 from repro.db.hardware import HardwareSpec
 from repro.db.indexes import Index
 from repro.db.mysql import MySQLEngine
+from repro.db.planner_vec import plan_many_vectorized
 from repro.db.postgres import PostgresEngine
 from repro.sql.analyzer import QueryInfo
 from repro.workloads.generator import synthetic_workload
+from tests.oracles import reference_mode
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
@@ -93,20 +97,15 @@ def add_leading_indexes(engine, catalog, wide=False):
 
 def assert_vectorized_matches_reference(engine, queries):
     """The core property: batched output == per-query reference output."""
-    saved = planner_module.VECTORIZED_ENABLED
-    try:
-        planner_module.VECTORIZED_ENABLED = False
+    with reference_mode():
         reference = [
             (plan_fingerprint(engine.explain(query)),
              repr(engine.estimate_seconds(query)))
             for query in queries
         ]
-        engine._plan_cache.clear()
-        planner_module.VECTORIZED_ENABLED = True
-        plans = engine.plan_many(queries)
-        seconds = engine.estimate_many(queries)
-    finally:
-        planner_module.VECTORIZED_ENABLED = saved
+    engine._plan_cache.clear()
+    plans = engine.plan_many(queries)
+    seconds = engine.estimate_many(queries)
     vectorized = [
         (plan_fingerprint(plan), repr(value))
         for plan, value in zip(plans, seconds)
@@ -209,20 +208,18 @@ class TestVectorizedSmoke:
             tiny_catalog, {}, engine.planner_costs(), engine.runtime_env()
         )
         infos = [QueryInfo(), QueryInfo(tables={"users"})]
-        vectorized = planner.plan_many(infos, vectorized=True)
+        vectorized = plan_many_vectorized(planner, infos)
         reference = [planner.plan(info) for info in infos]
         assert [plan_fingerprint(plan) for plan in vectorized] == [
             plan_fingerprint(plan) for plan in reference
         ]
         assert vectorized[0].out_rows == 1.0
 
-    def test_disabled_flag_uses_scalar_path(self, pg_engine, tiny_workload):
-        saved = planner_module.VECTORIZED_ENABLED
-        try:
-            planner_module.VECTORIZED_ENABLED = False
+    def test_reference_mode_uses_scalar_path(self, pg_engine, tiny_workload):
+        with reference_mode():
+            pg_engine._plan_cache.clear()
             plans = pg_engine.plan_many(tiny_workload.queries)
-        finally:
-            planner_module.VECTORIZED_ENABLED = saved
+        pg_engine._plan_cache.clear()
         expected = [pg_engine.explain(query) for query in tiny_workload.queries]
         assert [plan_fingerprint(plan) for plan in plans] == [
             plan_fingerprint(plan) for plan in expected
@@ -316,7 +313,6 @@ class TestRandomizedProperty:
 
 
 _HASH_SEED_SCRIPT = (
-    "import repro.db.planner as planner_module;"
     "from repro.db.postgres import PostgresEngine;"
     "from repro.db.hardware import HardwareSpec;"
     "from repro.db.indexes import Index;"
@@ -325,8 +321,14 @@ _HASH_SEED_SCRIPT = (
     "e = PostgresEngine(w.catalog, HardwareSpec(memory_gb=61.0, cores=8));"
     "[e.create_index(Index(table=t.name, columns=(list(t.columns)[0],)))"
     " for t in w.catalog.tables];"
-    "planner_module.VECTORIZED_ENABLED = {vectorized};"
-    "print('|'.join(repr(s) for s in e.estimate_many(w.queries)))"
+    "print('|'.join(repr(s) for s in {estimates}))"
+)
+
+#: The batched estimate, and the per-query one (single-query planning
+#: takes the scalar ``Planner.plan``).
+_ESTIMATES = (
+    "e.estimate_many(w.queries)",
+    "[e.estimate_seconds(q) for q in w.queries]",
 )
 
 
@@ -354,10 +356,8 @@ class TestCrossProcess:
 
     def test_vectorized_matches_reference_across_hash_seeds(self):
         outputs = {
-            self._run(
-                _HASH_SEED_SCRIPT.format(vectorized=vectorized), hash_seed
-            )
-            for vectorized in ("True", "False")
+            self._run(_HASH_SEED_SCRIPT.format(estimates=estimates), hash_seed)
+            for estimates in _ESTIMATES
             for hash_seed in ("1", "2")
         }
         # All four (path, hash seed) combinations print the same bits.
@@ -374,9 +374,7 @@ class TestSelectionEquivalence:
         from repro.core.tuner import LambdaTune, LambdaTuneOptions
         from repro.llm.mock import SimulatedLLM
 
-        saved = planner_module.VECTORIZED_ENABLED
-        try:
-            planner_module.VECTORIZED_ENABLED = vectorized
+        with nullcontext() if vectorized else reference_mode():
             engine = PostgresEngine(tpch.catalog)
             options = LambdaTuneOptions(
                 token_budget=400, initial_timeout=0.5, alpha=2.0, seed=9
@@ -390,8 +388,6 @@ class TestSelectionEquivalence:
                 engine, evaluator, initial_timeout=0.5, alpha=2.0
             )
             selection = selector.select(list(tpch.queries), configs)
-        finally:
-            planner_module.VECTORIZED_ENABLED = saved
         return (
             repr(selection.best.time),
             selection.best.config.name if selection.best.config else None,

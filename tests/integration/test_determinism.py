@@ -14,12 +14,23 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.cache import ArtifactCache, install_cache
+from repro.core import LambdaTune, LambdaTuneOptions
 from repro.db.postgres import PostgresEngine
+from repro.llm import SimulatedLLM
 from repro.workloads import tpch_workload
+from tests.oracles import reference_mode
 
 #: Import root of the in-tree package, propagated to subprocesses so
 #: ``import repro`` works without an installed distribution.
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+
+
+def _tune(workload, *, caches=True, options=None):
+    """One ``tune()`` of ``workload`` on a fresh engine."""
+    options = options or LambdaTuneOptions(initial_timeout=0.5, alpha=2.0, seed=9)
+    engine = PostgresEngine(workload.catalog, caches=caches)
+    return LambdaTune(engine, SimulatedLLM(), options).tune(list(workload.queries))
 
 
 def _subprocess_env(hash_seed: str) -> dict[str, str]:
@@ -77,25 +88,74 @@ class TestInProcessDeterminism:
 
     def test_caching_is_bit_transparent(self):
         """Engine + evaluator caches must not change any result value."""
-        import repro.db.engine as engine_module
-        from repro.core import LambdaTune, LambdaTuneOptions
-        from repro.llm import SimulatedLLM
-
         workload = tpch_workload()
-        results = []
-        for cached in (True, False):
-            engine_module.CACHES_ENABLED = cached
-            try:
-                tuner = LambdaTune(
-                    PostgresEngine(workload.catalog),
-                    SimulatedLLM(),
-                    LambdaTuneOptions(initial_timeout=0.5, alpha=2.0, seed=9),
-                )
-                results.append(tuner.tune(list(workload.queries)))
-            finally:
-                engine_module.CACHES_ENABLED = True
+        results = [_tune(workload, caches=cached) for cached in (True, False)]
         assert results[0].best_time == results[1].best_time
         assert results[0].tuning_seconds == results[1].tuning_seconds
+
+    def test_reference_mode_tune_matches_optimized(self):
+        """A tune on the reference implementations, with every cache
+        off, fingerprints like the optimized tune (the full-tune check of
+        ``scripts/bench.py``)."""
+        workload = tpch_workload()
+        options = LambdaTuneOptions(
+            token_budget=400, initial_timeout=0.5, alpha=2.0, seed=9
+        )
+        optimized = _tune(workload, options=options)
+        with reference_mode():
+            reference = _tune(workload, caches=False, options=options)
+        assert reference.fingerprint() == optimized.fingerprint()
+
+
+class _KindRecorder(ArtifactCache):
+    """A memory-only artifact cache that records every kind it serves."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kinds: list[str] = []
+
+    def fetch(self, kind, material):
+        self.kinds.append(kind)
+        return super().fetch(kind, material)
+
+    def store(self, kind, material, value):
+        self.kinds.append(kind)
+        super().store(kind, material, value)
+
+
+class TestCacheSettingBelongsToEngine:
+    """``caches=False`` on the engine reaches every component of a tune."""
+
+    SECTIONS = ("analysis", "plans", "selectivity", "compiled", "join_values")
+    #: Artifact kinds whose caching follows the engine; the LLM and ILP
+    #: tiers cache independently of it.
+    ENGINE_KINDS = {"plan", "order", "compiled"}
+
+    def _snapshot(self, catalog) -> dict:
+        caches = getattr(catalog, "_shared_caches", {})
+        return {
+            name: dict(caches[name]) for name in self.SECTIONS if name in caches
+        }
+
+    def test_uncached_tune_leaves_every_cache_alone(self):
+        workload = tpch_workload()
+        recorder = _KindRecorder()
+        previous = install_cache(recorder)
+        try:
+            cached = _tune(workload)
+            assert "order" in recorder.kinds  # the recorder sees traffic
+            recorder.kinds.clear()
+            before = self._snapshot(workload.catalog)
+            uncached = _tune(workload, caches=False)
+        finally:
+            install_cache(previous)
+        after = self._snapshot(workload.catalog)
+        assert after.keys() == before.keys()
+        for name, entries in before.items():
+            assert after[name].keys() == entries.keys(), name
+            assert all(after[name][key] is value for key, value in entries.items())
+        assert not self.ENGINE_KINDS & set(recorder.kinds)
+        assert uncached.fingerprint() == cached.fingerprint()
 
 
 class TestCrossProcessDeterminism:

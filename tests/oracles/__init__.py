@@ -1,0 +1,67 @@
+"""Reference implementations that the production code is compared with.
+
+``src/`` keeps one implementation per layer.  The slower, literal
+statements of the same layers live here, used only by the tests, the
+benchmarks and ``scripts/bench.py``:
+
+- :mod:`.scheduler` -- Algorithm 4 over dict/frozenset states, and a
+  brute-force order oracle;
+- :mod:`.planner` -- ``plan_many`` one query at a time;
+- :mod:`.evaluator` -- Algorithm 3 one query at a time;
+- :func:`reference_mode` -- runs whole tunes on all three.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+from repro.cache import install_cache
+from repro.core import evaluator as evaluator_module
+from repro.core.evaluator import ConfigurationEvaluator
+from repro.db.planner import Planner
+from tests.oracles.evaluator import evaluate_scalar
+from tests.oracles.planner import plan_many_scalar
+from tests.oracles.scheduler import (
+    brute_force_order,
+    compute_order_dp_adapter,
+    compute_order_dp_reference,
+)
+
+__all__ = [
+    "brute_force_order",
+    "compute_order_dp_reference",
+    "evaluate_scalar",
+    "plan_many_scalar",
+    "reference_mode",
+]
+
+
+@contextmanager
+def reference_mode():
+    """Run everything inside the block on the reference implementations.
+
+    ``ConfigurationEvaluator.evaluate`` becomes :func:`evaluate_scalar`,
+    the evaluator's DP becomes :func:`compute_order_dp_reference`, every
+    ``Planner.plan_many`` batch is planned per query, and the persistent
+    artifact cache is off.  Memoization belongs to the engine: build it
+    with ``caches=False`` for an uncached reference.  The switch patches
+    module and class attributes, so it is not thread-safe.
+    """
+    saved = (
+        evaluator_module.compute_order_dp,
+        ConfigurationEvaluator.evaluate,
+        Planner.plan_many,
+    )
+    previous_cache = install_cache(None)
+    evaluator_module.compute_order_dp = compute_order_dp_adapter
+    ConfigurationEvaluator.evaluate = evaluate_scalar
+    Planner.plan_many = plan_many_scalar
+    try:
+        yield
+    finally:
+        (
+            evaluator_module.compute_order_dp,
+            ConfigurationEvaluator.evaluate,
+            Planner.plan_many,
+        ) = saved
+        install_cache(previous_cache)

@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from repro.db import engine as engine_module
 from repro.db.indexes import Index
 from repro.db.postgres import PostgresEngine
 from repro.errors import ReproError
@@ -56,9 +55,10 @@ class TestCompileWorkload:
         with pytest.raises(ReproError):
             compiled.query_by_name("nope")
 
-    def test_caches_disabled_recomputes(self, tiny_workload, monkeypatch):
-        monkeypatch.setattr(engine_module, "CACHES_ENABLED", False)
-        first = compile_workload(tiny_workload)
-        second = compile_workload(tiny_workload)
+    def test_caches_disabled_recomputes(self, tiny_workload):
+        engine = PostgresEngine(tiny_workload.catalog, caches=False)
+        first = compile_workload(tiny_workload, engine=engine)
+        second = compile_workload(tiny_workload, engine=engine)
         assert first is not second
         assert first.default_costs == second.default_costs
+        assert first.default_costs == compile_workload(tiny_workload).default_costs
