@@ -8,19 +8,33 @@ most valuable subset under the token budget via the §3.3 ILP.
 Beyond join conditions, the same machinery supports the other binary
 relationships the paper mentions (§3.2: table co-occurrence in queries,
 column usage), exposed through ``relation=``.
+
+The prompt depends on the workload alone, so every tune of a workload
+would solve the same ILP to the same answer.
+:meth:`WorkloadCompressor.compress` therefore memoizes its result on the
+catalog (section :data:`SELECTION_SECTION` of ``shared_catalog_cache``),
+keyed on what the selection reads: the ``join_condition_values`` key
+(system, hardware, engine ``config_signature``, query texts) plus the
+relation, the token budget and the solver method.  The memo follows ``engine.caches`` and
+sits in front of the persistent ``ilp`` tier: a miss still calls
+:func:`select_snippets` through this module, so every real solve stays
+visible to anything that wraps that name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.prompt.ilp import SnippetSelection, select_snippets
-from repro.db.engine import DatabaseEngine
-from repro.db.explain import join_condition_values
+from repro.db.engine import DatabaseEngine, shared_catalog_cache
+from repro.db.explain import join_condition_values, workload_key
 from repro.errors import ReproError
 from repro.sql.analyzer import JoinCondition
 
 RELATIONS = ("join", "co_occurrence", "column_usage")
+
+#: The catalog-shared cache section holding compression results.
+SELECTION_SECTION = "snippet_selection"
 
 
 @dataclass(slots=True)
@@ -117,19 +131,46 @@ class WorkloadCompressor:
     # -- compression -----------------------------------------------------------------
 
     def compress(self, queries: list, token_budget: int) -> CompressionResult:
-        """Select and render the most valuable snippets under the budget."""
+        """Select and render the most valuable snippets under the budget.
+
+        Memoized on the catalog unless the engine was built with
+        ``caches=False``; every call returns its own copy of ``lines``
+        and ``conditions``.
+        """
+        cache = None
+        if self._engine.caches:
+            cache = shared_catalog_cache(self._engine.catalog, SELECTION_SECTION)
+            key = (
+                workload_key(self._engine, queries),
+                self._relation,
+                token_budget,
+                self._solver_method,
+            )
+            cached = cache.get(key)
+            if cached is not None:
+                return _copy(cached)
         values = self.snippet_values(queries)
         total_value = sum(values.values())
         selection = select_snippets(
             values, token_budget, method=self._solver_method
         )
-        return CompressionResult(
+        result = CompressionResult(
             lines=render_lines(selection, values),
             tokens_used=selection.tokens_used,
             selected_value=selection.value,
             total_value=total_value,
             conditions=selection.conditions,
         )
+        if cache is not None:
+            cache[key] = _copy(result)
+        return result
+
+
+def _copy(result: CompressionResult) -> CompressionResult:
+    """``result`` with its own ``lines`` and ``conditions`` containers."""
+    return replace(
+        result, lines=list(result.lines), conditions=set(result.conditions)
+    )
 
 
 def render_lines(

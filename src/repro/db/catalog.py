@@ -132,9 +132,12 @@ class Catalog:
         process: after one seed-0 TPC-H tune the view pickles to
         28.8 KB, on top of a 95.9 KB catalog pickle shipped with every
         pool job.  The view is derived state; the far side rebuilds it
-        on demand, bit identically.  The warm analysis/plan tiers
-        (``engine.shared_catalog_cache``) stay in the pickle on
-        purpose: a process-pool job worker then starts with them warm.
+        on demand, bit identically.  The other catalog-shared caches
+        (``engine.shared_catalog_cache``: analysis, plans, join values,
+        ...) are pickled as they are, so a workload pickled after use
+        arrives warm.  A service job that names a registry spec string
+        never crosses this way: the pool worker resolves the string
+        itself and keeps that workload, caches and all, for later jobs.
         """
         state = self.__dict__.copy()
         state.pop("_catalog_stats", None)

@@ -12,7 +12,12 @@ from repro.db.engine import DatabaseEngine, shared_catalog_cache
 from repro.sql.analyzer import JoinCondition
 
 
-def _workload_key(engine: DatabaseEngine, queries: list) -> tuple:
+def workload_key(engine: DatabaseEngine, queries: list) -> tuple:
+    """Everything a default-plan derivation over ``queries`` reads.
+
+    ``(system, hardware, config signature, query texts)``: the catalog
+    is implied by the catalog-shared cache the key is used in.
+    """
     texts = tuple(getattr(query, "sql", None) or str(query) for query in queries)
     return (engine.system, engine.hardware, engine.config_signature, texts)
 
@@ -34,7 +39,7 @@ def join_condition_values(
     key = None
     if engine.caches:
         cache = shared_catalog_cache(engine.catalog, "join_values")
-        key = _workload_key(engine, queries)
+        key = workload_key(engine, queries)
         cached = cache.get(key)
         if cached is not None:
             return dict(cached)

@@ -22,6 +22,14 @@ with exact floats and no pickling.  Workloads are persisted as spec
 ``"@<name>"`` naming an entry in the server's in-process workload
 resolver -- the escape hatch tests and embedders use for workloads that
 have no registry spelling.
+
+The two spellings travel differently under ``TuningServer(executor=
+"process")``.  A registry spec string goes to the pool worker as the
+string, and the worker resolves it through a small LRU of workloads it
+keeps between jobs, so a later job on the same spec reuses that
+workload's warm catalog caches.  An ``"@<name>"`` reference (or a
+``Workload`` object) is resolved in the server process and pickled into
+every job it dispatches.
 """
 
 from __future__ import annotations
@@ -77,6 +85,15 @@ class JobSpec:
         if isinstance(self.workload, str):
             return self.workload
         return "@" + self.workload.name
+
+    def registry_spec(self) -> str | None:
+        """The :func:`~repro.workloads.load_workload` spec this job names.
+
+        ``None`` for a ``Workload`` object or an ``"@<name>"`` reference.
+        """
+        if isinstance(self.workload, str) and not self.workload.startswith("@"):
+            return self.workload
+        return None
 
     def resolve_workload(
         self, resolver: dict[str, Workload] | None = None

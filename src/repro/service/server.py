@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -46,8 +47,6 @@ from pathlib import Path
 from repro.cache import ArtifactCache, active_cache, install_cache
 from repro.core.batch import (
     BATCH_EXECUTORS,
-    BatchJob,
-    _check_process_portable,
     job_pool,
     resume_job,
     run_job,
@@ -75,8 +74,12 @@ from repro.service.queue import JobQueue, TenantQuota
 from repro.session import JournalLease, TuningJournal, discover_journals
 from repro.session.discover import read_result, register_owner, retire_owner
 from repro.workloads.base import Workload
+from repro.workloads.registry import load_workload
 
 _SERVER_TOKENS = itertools.count()
+
+#: Registry workloads one pool worker keeps between jobs.
+_WORKER_WORKLOAD_SLOTS = 4
 
 
 class _JobControl:
@@ -118,17 +121,24 @@ class _ProcessJobPayload:
     """Everything a worker *process* needs to run one service job.
 
     The parent keeps the lease, the record, and the queue; the child
-    gets the picklable execution recipe.  Cancellation crosses the
-    boundary through the durable cancel marker file (``cancel()``
+    gets the picklable execution recipe: the job's spec and journal
+    path, from which it builds the :class:`~repro.core.batch.BatchJob`.
+    A registry spec string (``"tpch-sf1"``) crosses as the string, and
+    the worker resolves it through its :class:`_WorkloadLRU`, so jobs
+    naming the same spec share one workload and its warm catalog
+    caches.  An in-process workload (a ``Workload`` object or an
+    ``"@name"`` reference) has no registry spelling: the parent
+    resolves it and the spec carries the object.  Cancellation crosses
+    the boundary through the durable cancel marker file (``cancel()``
     writes it before flipping the in-memory event, precisely so a
     child can poll it), and the chaos ``probe`` rides along when it is
     picklable (module-level functions; closures stay thread-only).
     """
 
-    job: BatchJob
+    spec: JobSpec
+    journal_path: str
     resumed: bool
     cancel_path: str
-    job_id: str
     probe: object | None = None
 
 
@@ -140,13 +150,45 @@ class _MarkerControl:
         self.appends = 0
 
     def before_append(self) -> None:
+        job_id = self._payload.spec.job_id
         if os.path.exists(self._payload.cancel_path):
-            raise JobCancelledError(
-                f"job {self._payload.job_id} cancelled by tenant"
-            )
+            raise JobCancelledError(f"job {job_id} cancelled by tenant")
         self.appends += 1
         if self._payload.probe is not None:
-            self._payload.probe(self._payload.job_id, self.appends)
+            self._payload.probe(job_id, self.appends)
+
+
+class _WorkloadLRU:
+    """The registry workloads one pool worker keeps between its jobs.
+
+    A workload carries its catalog's caches (analysis, plans,
+    selectivity, compiled workloads, join values, snippet selections),
+    so a job that reuses its spec's workload starts with whatever the
+    worker's earlier jobs derived.  The caches are bit-transparent:
+    results do not depend on which jobs ran before.  At most ``slots``
+    workloads stay; the least recently used one goes first.
+    """
+
+    def __init__(self, slots: int) -> None:
+        self._slots = slots
+        self._workloads: OrderedDict[str, Workload] = OrderedDict()
+
+    def get(self, spec: str) -> Workload:
+        """The workload ``spec`` names, loaded on its first use."""
+        workload = self._workloads.get(spec)
+        if workload is None:
+            workload = load_workload(spec)
+            self._workloads[spec] = workload
+            if len(self._workloads) > self._slots:
+                self._workloads.popitem(last=False)
+        else:
+            self._workloads.move_to_end(spec)
+        return workload
+
+
+#: This process's workloads when it serves as a pool worker; the
+#: parent never resolves through it.
+_worker_workloads = _WorkloadLRU(_WORKER_WORKLOAD_SLOTS)
 
 
 def _service_process_job(payload: _ProcessJobPayload) -> TuningResult:
@@ -155,16 +197,22 @@ def _service_process_job(payload: _ProcessJobPayload) -> TuningResult:
     ``JobCancelledError`` / ``ServerKilledError`` raised here propagate
     to the parent through the future (``concurrent.futures`` process
     workers forward ``BaseException``), where ``_run_record``'s
-    existing handlers classify them exactly as in thread mode.
+    existing handlers classify them exactly as in thread mode; so do
+    the errors of resolving an unknown spec string.
     """
     control = _MarkerControl(payload)
 
     def factory(path, *, append: bool = False):
         return _ServiceJournal(path, append=append, control=control)
 
+    spec = payload.spec
+    name = spec.registry_spec()
+    if name is not None:
+        spec = replace(spec, workload=_worker_workloads.get(name))
+    job = spec.to_batch_job(journal_path=payload.journal_path)
     if payload.resumed:
-        return resume_job(payload.job, journal_factory=factory)
-    return run_job(payload.job, journal_factory=factory)
+        return resume_job(job, journal_factory=factory)
+    return run_job(job, journal_factory=factory)
 
 
 class TuningServer:
@@ -185,7 +233,12 @@ class TuningServer:
         leases, and state, but dispatches each job body to a
         :func:`~repro.core.batch.job_pool` process pool: the child
         rebuilds engine/LLM from the job spec and installs the shared
-        on-disk cache.  Right for CPU-bound jobs
+        on-disk cache.  A registry spec string is sent to the child as
+        the string, and each worker keeps the last few workloads it
+        resolved (:class:`_WorkloadLRU`), so later jobs on the same
+        spec start with that workload's catalog caches warm; in-process
+        workloads are resolved in the parent and pickled per job.
+        Right for CPU-bound jobs
         (``realtime_factor=0``) that worker threads would serialize on
         the GIL; results stay byte-identical either way.  Cache-counter
         deltas (:meth:`tenant_cache_stats`) accrue in the children and
@@ -546,16 +599,17 @@ class TuningServer:
 
         stats_before = self.cache_stats()
         try:
-            batch_job = record.spec.to_batch_job(
-                resolver=self._resolver, journal_path=journal_path
-            )
             resumed = record.resumed or journal_path.exists()
             if self._pool is not None:
-                result = self._run_in_process(batch_job, job_id, resumed)
-            elif resumed:
-                result = resume_job(batch_job, journal_factory=factory)
+                result = self._run_in_process(record.spec, journal_path, resumed)
             else:
-                result = run_job(batch_job, journal_factory=factory)
+                batch_job = record.spec.to_batch_job(
+                    resolver=self._resolver, journal_path=journal_path
+                )
+                if resumed:
+                    result = resume_job(batch_job, journal_factory=factory)
+                else:
+                    result = run_job(batch_job, journal_factory=factory)
             record.result = result
             record.state = DONE
             record.error = None
@@ -580,23 +634,27 @@ class TuningServer:
             self._account(record.tenant, stats_before)
 
     def _run_in_process(
-        self, batch_job: BatchJob, job_id: str, resumed: bool
+        self, spec: JobSpec, journal_path: Path, resumed: bool
     ) -> TuningResult:
         """Dispatch one job body to the process pool and await it.
 
         The worker thread keeps the lease and the record; the child
-        does the tuning.  Child-side ``JobCancelledError`` /
+        does the tuning.  A registry spec string is sent as is (the
+        worker resolves it); any other workload is resolved here and
+        sent as the object.  Child-side ``JobCancelledError`` /
         ``ServerKilledError`` surface through the future unchanged; a
         pool broken by :meth:`kill` (children terminated mid-write)
         maps to :class:`ServerKilledError` so the caller's chaos
         handling is identical to thread mode.
         """
-        _check_process_portable(batch_job)
+        job_id = spec.job_id
+        if spec.registry_spec() is None:
+            spec = replace(spec, workload=spec.resolve_workload(self._resolver))
         payload = _ProcessJobPayload(
-            job=batch_job,
+            spec=spec,
+            journal_path=os.fspath(journal_path),
             resumed=resumed,
             cancel_path=os.fspath(self.root.cancel_path(job_id)),
-            job_id=job_id,
             probe=self.crash_probe,
         )
         pool = self._pool

@@ -1,15 +1,22 @@
 """Prompt generation tests: tokens, ILP selection, compression, template."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import LambdaTune
+from repro.core.prompt import compression
 from repro.core.prompt.compression import WorkloadCompressor, render_lines
 from repro.core.prompt.ilp import build_snippet_ilp, select_snippets
 from repro.core.prompt.obfuscate import Obfuscator
 from repro.core.prompt.template import PromptGenerator, render_prompt
 from repro.core.prompt.tokens import column_tokens, count_tokens
 from repro.db.hardware import HardwareSpec
+from repro.db.mysql import MySQLEngine
 from repro.db.postgres import PostgresEngine
+from repro.llm import SimulatedLLM
 from repro.sql.analyzer import JoinCondition
 
 
@@ -180,6 +187,101 @@ class TestCompressor:
         assert any(
             top_condition.left in line and "." in line for line in result.lines
         ) or any(top_condition.right in line for line in result.lines)
+
+
+class TestSnippetSelectionMemo:
+    """``compress`` is memoized on the catalog: one solve per input."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        """Budgets of the ``select_snippets`` calls made through the module."""
+        budgets = []
+        original = compression.select_snippets
+
+        def counting(values, budget, **kwargs):
+            budgets.append(budget)
+            return original(values, budget, **kwargs)
+
+        monkeypatch.setattr(compression, "select_snippets", counting)
+        return budgets
+
+    def test_second_prompt_on_a_fresh_engine_solves_nothing(
+        self, tiny_workload, solves
+    ):
+        queries = list(tiny_workload.queries)
+
+        def prompt(**engine_options):
+            engine = PostgresEngine(tiny_workload.catalog, **engine_options)
+            return LambdaTune(engine, SimulatedLLM()).generate_prompt(queries)
+
+        first = prompt()
+        assert len(solves) == 1
+        second = prompt()
+        assert len(solves) == 1
+        assert second.text == first.text
+        assert prompt(caches=False).text == first.text
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize(
+        "change", ["budget", "solver", "relation", "system", "config"]
+    )
+    def test_every_keyed_input_misses(self, tiny_workload, solves, change):
+        catalog = tiny_workload.catalog
+        queries = list(tiny_workload.queries)
+        WorkloadCompressor(PostgresEngine(catalog)).compress(queries, 300)
+        assert len(solves) == 1
+        engine = PostgresEngine(catalog)
+        options = {}
+        budget = 300
+        if change == "budget":
+            budget = 200
+        elif change == "solver":
+            options["solver_method"] = "greedy"
+        elif change == "relation":
+            options["relation"] = "co_occurrence"
+        elif change == "system":
+            engine = MySQLEngine(catalog)
+        else:
+            engine.apply_config({"work_mem": "64MB"})
+            assert engine.config_signature != PostgresEngine(catalog).config_signature
+        WorkloadCompressor(engine, **options).compress(queries, budget)
+        assert len(solves) == 2
+
+    def test_concurrent_prompts_share_one_entry(self, tiny_workload):
+        queries = list(tiny_workload.queries)
+
+        def prompt(caches=True):
+            engine = PostgresEngine(tiny_workload.catalog, caches=caches)
+            return LambdaTune(engine, SimulatedLLM()).generate_prompt(queries).text
+
+        expected = prompt(caches=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(prompt) for _ in range(32)]
+                texts = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == [expected] * 32
+        sections = tiny_workload.catalog._shared_caches
+        assert len(sections[compression.SELECTION_SECTION]) == 1
+
+    def test_edits_to_a_result_never_reach_the_memo(self, tiny_workload, solves):
+        compressor = WorkloadCompressor(PostgresEngine(tiny_workload.catalog))
+        queries = list(tiny_workload.queries)
+        first = compressor.compress(queries, 300)
+        lines, conditions = list(first.lines), set(first.conditions)
+        assert lines and conditions
+        first.lines.append("edited: line")
+        first.conditions.clear()
+        second = compressor.compress(queries, 300)
+        assert (second.lines, second.conditions) == (lines, conditions)
+        second.lines.clear()
+        second.conditions.add(JoinCondition.make("a.x", "b.y"))
+        third = compressor.compress(queries, 300)
+        assert (third.lines, third.conditions) == (lines, conditions)
+        assert len(solves) == 1
 
 
 class TestTemplate:

@@ -16,6 +16,7 @@ from pathlib import Path
 import repro
 from repro.cache import ArtifactCache, install_cache
 from repro.core import LambdaTune, LambdaTuneOptions
+from repro.core.prompt.compression import SELECTION_SECTION
 from repro.db.postgres import PostgresEngine
 from repro.llm import SimulatedLLM
 from repro.workloads import tpch_workload
@@ -126,16 +127,15 @@ class _KindRecorder(ArtifactCache):
 class TestCacheSettingBelongsToEngine:
     """``caches=False`` on the engine reaches every component of a tune."""
 
-    SECTIONS = ("analysis", "plans", "selectivity", "compiled", "join_values")
     #: Artifact kinds whose caching follows the engine; the LLM and ILP
     #: tiers cache independently of it.
     ENGINE_KINDS = {"plan", "order", "compiled"}
 
-    def _snapshot(self, catalog) -> dict:
+    @staticmethod
+    def _snapshot(catalog) -> dict:
+        """Every catalog-shared section, whatever its name."""
         caches = getattr(catalog, "_shared_caches", {})
-        return {
-            name: dict(caches[name]) for name in self.SECTIONS if name in caches
-        }
+        return {name: dict(entries) for name, entries in caches.items()}
 
     def test_uncached_tune_leaves_every_cache_alone(self):
         workload = tpch_workload()
@@ -146,6 +146,7 @@ class TestCacheSettingBelongsToEngine:
             assert "order" in recorder.kinds  # the recorder sees traffic
             recorder.kinds.clear()
             before = self._snapshot(workload.catalog)
+            assert SELECTION_SECTION in before
             uncached = _tune(workload, caches=False)
         finally:
             install_cache(previous)

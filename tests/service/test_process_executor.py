@@ -10,12 +10,17 @@ the next server recovers.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
+from repro.cache import ArtifactCache, digest_key
 from repro.errors import ConfigurationError, ServerKilledError
 from repro.faults import FaultPlan
 from repro.service import JobClient, TuningServer
+from repro.service import server as server_module
 from repro.service.jobs import JobSpec, ServiceRoot
+from repro.workloads.registry import load_workload
 from tests.service.conftest import (
     fingerprint,
     job_options,
@@ -25,6 +30,9 @@ from tests.service.conftest import (
 from tests.service.test_restart import wait_for_workers
 
 SEEDS = list(range(8))
+
+#: A registry spec string small enough for many served jobs.
+SPEC = "synthetic:queries=8,scale=2"
 
 
 def _serve_all(root, workload, options_list, *, executor, fault_plan=None):
@@ -227,6 +235,111 @@ class TestProcessCrashRestart:
             result = restarted.result(job_id, timeout=300.0)
             assert restarted.status(job_id)["resumed"]
         assert fingerprint(result) == fingerprint(reference)
+
+
+class TestRegistrySpecJobs:
+    """Jobs naming a registry spec string, which the pool worker resolves."""
+
+    def test_seeds_match_reference_and_thread(self, tmp_path):
+        seeds = range(4)
+        workload = load_workload(SPEC)
+        references = [
+            fingerprint(reference_result(workload, options=job_options(seed)))
+            for seed in seeds
+        ]
+        served = {}
+        for executor in ("process", "thread"):
+            with make_server(tmp_path / executor, executor=executor) as server:
+                client = JobClient(server)
+                job_ids = [
+                    client.submit(SPEC, options=job_options(seed)) for seed in seeds
+                ]
+                served[executor] = [
+                    fingerprint(server.result(job_id, timeout=300.0))
+                    for job_id in job_ids
+                ]
+        assert served["process"] == references
+        assert served["thread"] == references
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the recording patch reaches pool workers through fork",
+    )
+    def test_second_job_runs_on_the_workers_workload(self, tmp_path, monkeypatch):
+        """No ``plan`` fetch repeats one the worker's first job sent:
+        the plans it made are still in the workload's catalog cache."""
+        log = tmp_path / "plan-fetches"
+        original = ArtifactCache.fetch
+
+        def recording(self, kind, material):
+            if kind == "plan":
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write(digest_key(kind, material) + "\n")
+            return original(self, kind, material)
+
+        monkeypatch.setattr(ArtifactCache, "fetch", recording)
+        with make_server(
+            tmp_path / "svc", executor="process", cache_dir=tmp_path / "cache"
+        ) as server:
+            client = JobClient(server)
+            server.result(client.submit(SPEC, options=job_options(0)), timeout=300.0)
+            first = log.read_text(encoding="utf-8").split()
+            server.result(client.submit(SPEC, options=job_options(1)), timeout=300.0)
+            second = log.read_text(encoding="utf-8").split()[len(first):]
+        assert first, "the worker's first job should fetch its plans"
+        assert not set(second) & set(first)
+
+    def test_process_crash_resumes_bit_exactly(self, tmp_path, no_rerun_guard):
+        options = job_options(6)
+        reference = reference_result(load_workload(SPEC), options=options)
+        server = make_server(
+            tmp_path / "svc", executor="process", crash_probe=_chaos_kill_at_five
+        )
+        server.start()
+        job_id = JobClient(server).submit(SPEC, options=options)
+        wait_for_workers(server)
+        server.kill()
+        assert server.status(job_id)["state"] == "running"
+
+        with make_server(tmp_path / "svc", executor="process") as restarted:
+            result = restarted.result(job_id, timeout=300.0)
+            assert restarted.status(job_id)["resumed"]
+        assert fingerprint(result) == fingerprint(reference)
+
+    def test_unknown_spec_fails_alike_under_both_executors(self, tmp_path):
+        errors = {}
+        for executor in ("thread", "process"):
+            with make_server(tmp_path / executor, executor=executor) as server:
+                job_id = JobClient(server).submit(
+                    "no-such-workload", options=job_options(0)
+                )
+                assert server.wait_all(timeout=120.0)
+                status = server.status(job_id)
+            assert status["state"] == "failed"
+            errors[executor] = status["error"]
+        assert "unknown workload 'no-such-workload'" in errors["thread"]
+        assert errors["process"] == errors["thread"]
+
+    def test_worker_lru_evicts_the_least_recently_used_spec(self, monkeypatch):
+        loads = []
+
+        def load(spec):
+            loads.append(spec)
+            return object()
+
+        monkeypatch.setattr(server_module, "load_workload", load)
+        slots = server_module._WORKER_WORKLOAD_SLOTS
+        lru = server_module._WorkloadLRU(slots)
+        specs = [f"spec-{number}" for number in range(slots)]
+        kept = [lru.get(spec) for spec in specs]
+        assert lru.get(specs[0]) is kept[0]  # a hit makes it most recent
+        lru.get("one-more")  # full: specs[1] is the least recently used
+        assert loads == specs + ["one-more"]
+        for spec, workload in zip(specs[2:], kept[2:]):
+            assert lru.get(spec) is workload
+        assert lru.get(specs[0]) is kept[0]
+        assert lru.get(specs[1]) is not kept[1]
+        assert loads == specs + ["one-more", specs[1]]
 
 
 class TestValidation:
