@@ -3,14 +3,18 @@
 Microbenchmarks the bitmask DP core at representative cluster counts
 (n = 8 / 11 / 13, the paper's §5.4 cap) on fixed randomized instances,
 plus the full ``tune()`` pipeline on TPC-H and JOB with the memoization
-layers on.  Run with ``--benchmark-json`` to feed ``scripts/bench.py``:
+layers on:
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_scheduler.py \
         -m slow --benchmark-json=bench.json
 
 Each benchmark also asserts correctness (optimal-order equality with
 the executable specification; identical results across runs), so a
-perf run doubles as a regression test.
+perf run doubles as a regression test.  The speedup gates -- batched
+planning and evaluate against their scalar references, a warm artifact
+cache against a cold one, and ``tune_many`` process scaling -- are in
+``benchmarks/test_perf_gates.py``; the end-to-end wall-clock suite is
+``python3 perfbench/run.py``.
 """
 
 import random

@@ -1,27 +1,24 @@
 """Batched multi-workload tuning over a shared pool and shared cache.
 
-:func:`tune_many` runs N independent tuning jobs concurrently.  Each job
-gets its own engine, virtual clock, and LLM client, so job results are
-byte-identical to running the same jobs serially -- concurrency changes
-wall-clock time only.  What the jobs *share* is the process-wide
-persistent :class:`repro.cache.ArtifactCache`: overlapping workloads
-(TPC-H / TPC-DS / JOB share the planner, solver, and scheduler work for
-any queries, plans, and prompts they have in common) warm each other's
+:func:`tune_many` runs N independent tuning jobs.  Each job gets its own
+engine, virtual clock, and LLM client, so job results are byte-identical
+however many workers run them -- the worker count changes wall-clock
+time only.  What the jobs *share* is the process-wide persistent
+:class:`repro.cache.ArtifactCache`: overlapping workloads (TPC-H /
+TPC-DS / JOB share the planner, solver, and scheduler work for any
+queries, plans, and prompts they have in common) warm each other's
 artifacts mid-batch, and the disk tier carries the warmth to the next
 invocation.
 
-Two batch executors drive the jobs.  ``executor="thread"`` (default)
-fits wall-clock dominated by engine waits under a positive
-``realtime_factor`` -- sleeps release the GIL -- and all jobs see the
-same cache object without serialization.  ``executor="process"`` fits
-CPU-bound batches (``realtime_factor=0``): worker processes rebuild each
-job's engine/LLM from the pickled :class:`BatchJob` spec and share the
-on-disk artifact cache.  :func:`job_pool` builds that process pool for
-both drivers, ``tune_many`` and the service's process executor; its
-initializer installs the parent's cache root and nothing else.  Inside
-each job, Algorithm 2 evaluates one candidate at a time on the job's own
-engine (the serial ``RoundDriver`` of :mod:`repro.core.rounds`): jobs
-are the unit of parallelism.
+One worker runs the jobs in order in the caller's process.  More than
+one runs each job in a worker process of :func:`job_pool`: the worker
+rebuilds the job's engine/LLM from the pickled :class:`BatchJob` spec
+and shares the on-disk artifact cache.  :func:`job_pool` builds that
+process pool for both drivers, ``tune_many`` and the service's process
+executor; its initializer installs the parent's cache root and nothing
+else.  Inside each job, Algorithm 2 evaluates one candidate at a time on
+the job's own engine (the serial ``RoundDriver`` of
+:mod:`repro.core.rounds`): jobs are the unit of parallelism.
 
 :class:`BatchJob` doubles as the execution recipe for the service layer
 (:mod:`repro.service`): its :meth:`~BatchJob.build_engine` /
@@ -36,7 +33,7 @@ job carries a ``journal_path``, plain otherwise.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,9 +46,6 @@ from repro.llm.client import LLMClient
 from repro.workloads.base import Workload
 from repro.workloads.compile import make_engine
 
-#: Batch-level executors: how *jobs* are distributed.
-BATCH_EXECUTORS = ("thread", "process")
-
 
 @dataclass(slots=True)
 class BatchJob:
@@ -59,9 +53,11 @@ class BatchJob:
 
     ``engine`` and ``llm`` default to a fresh default-configured engine
     for ``system`` and a fresh :class:`repro.llm.mock.SimulatedLLM`.
-    Jobs must not share mutable collaborators: passing the same engine
-    or a stateful LLM client (e.g. the fault-injecting wrapper) to two
-    jobs makes results depend on scheduling order.
+    Jobs must not share mutable collaborators: the same engine or a
+    stateful LLM client (e.g. the fault-injecting wrapper) passed to two
+    jobs carries one job's state into the other.  A job with an explicit
+    ``engine`` or ``llm`` cannot be sent to a worker process, so it runs
+    only in a one-worker :func:`tune_many`.
     """
 
     workload: Workload
@@ -69,9 +65,6 @@ class BatchJob:
     options: LambdaTuneOptions = field(default_factory=LambdaTuneOptions)
     engine: DatabaseEngine | None = None
     llm: LLMClient | None = None
-    #: Wall-clock seconds slept per simulated second of engine work on
-    #: this job's engine (see ``DatabaseEngine.realtime_factor``).
-    realtime_factor: float = 0.0
     #: Deterministic chaos plan (PR 3).  Installed on the built engine
     #: and wrapped around the built LLM client; results stay a pure
     #: function of ``(job, plan)``.  Ignored for an explicit ``engine``
@@ -88,8 +81,6 @@ class BatchJob:
             engine = make_engine(self.workload, self.system)
             if self.fault_plan is not None:
                 engine.install_faults(self.fault_plan)
-        if self.realtime_factor > 0:
-            engine.realtime_factor = self.realtime_factor
         return engine
 
     def build_llm(self) -> LLMClient:
@@ -154,19 +145,12 @@ def resume_job(job: BatchJob, *, journal_factory=None) -> TuningResult:
         raise ConfigurationError("resume_job needs a job with a journal_path")
     from repro.session import TuningSession
 
-    engine = make_engine(job.workload, job.system)
-    if job.realtime_factor > 0:
-        engine.realtime_factor = job.realtime_factor
     return TuningSession.resume(
         Path(job.journal_path),
-        engine=engine,
+        engine=make_engine(job.workload, job.system),
         llm=job.build_llm(),
         journal_factory=journal_factory,
     )
-
-
-def _run_job(job: BatchJob) -> TuningResult:
-    return run_job(job)
 
 
 # -- process-pool plumbing ----------------------------------------------------
@@ -201,8 +185,7 @@ def preferred_mp_context():
 
     ``fork`` when available (shares the already-imported interpreter
     state: no re-import, no context pickling, much cheaper worker
-    start-up), else ``spawn``.  Shared by ``tune_many(executor=
-    "process")`` and the service's process workers.
+    start-up), else ``spawn``.  Used by :func:`job_pool`.
     """
     import multiprocessing
 
@@ -244,51 +227,28 @@ def _check_process_portable(job: BatchJob) -> None:
     owned by the caller)."""
     if job.engine is not None or job.llm is not None:
         raise ConfigurationError(
-            "executor='process' requires jobs that build their own "
-            "engine and LLM (leave BatchJob.engine / BatchJob.llm unset)"
+            "max_workers > 1 runs jobs in worker processes, which need "
+            "jobs that build their own engine and LLM (leave "
+            "BatchJob.engine / BatchJob.llm unset)"
         )
-
-
-def _default_max_workers(n_jobs: int, executor: str) -> int:
-    """The ``max_workers=None`` heuristic, executor-aware.
-
-    A process worker burns a whole core; oversubscribing past the
-    *usable* core count (affinity/cgroup-aware, and never above
-    ``os.cpu_count()``) adds fork and pickling overhead without
-    parallelism, no matter how many jobs are queued.  Thread workers
-    mostly wait on engine sleeps (``realtime_factor``) and keep the
-    pre-PR-10 default unchanged.
-    """
-    cpus = os.cpu_count() or 1
-    if executor == "process":
-        try:
-            usable = len(os.sched_getaffinity(0)) or 1
-        except (AttributeError, OSError):  # platforms without affinity
-            usable = cpus
-        return max(1, min(n_jobs, usable, cpus))
-    return max(1, min(n_jobs, cpus))
 
 
 def tune_many(
     jobs: list[BatchJob],
     *,
-    max_workers: int | None = None,
-    executor: str = "thread",
+    max_workers: int = 1,
     cache_dir: str | os.PathLike[str] | None = None,
 ) -> list[TuningResult]:
-    """Tune every job, concurrently, returning results in job order.
+    """Tune every job, returning results in job order.
 
-    ``executor`` picks the scale-out mechanism.  ``"thread"`` (the
-    default, unchanged semantics) runs jobs on a thread pool -- right
-    when wall-clock is dominated by engine waits (``realtime_factor``),
-    which release the GIL.  ``"process"`` runs each job in a
-    :func:`job_pool` worker process: jobs are pickled to workers that
-    rebuild engine/LLM from the :class:`BatchJob` spec and install the
-    shared on-disk artifact cache -- right when jobs are CPU-bound
-    simulation work that a thread pool would serialize on the GIL.
-    Results are byte-identical across serial, thread, and process
-    paths: each job owns its engine, virtual clock, and LLM client, so
-    only wall-clock time changes.
+    With ``max_workers=1`` (the default) the jobs run one after another
+    in this process.  With more, each job runs in a :func:`job_pool`
+    worker process, at most one worker per job: jobs are pickled to
+    workers that rebuild engine/LLM from the :class:`BatchJob` spec and
+    install the shared on-disk artifact cache.  Results are
+    byte-identical either way: each job owns its engine, virtual clock,
+    and LLM client, so only wall-clock time changes.  A job is CPU-bound
+    simulation work, so more workers than usable cores buy nothing.
 
     ``cache_dir`` installs a shared persistent artifact cache for the
     duration of the batch (restoring the previously active cache after);
@@ -298,30 +258,25 @@ def tune_many(
     """
     if not jobs:
         raise ConfigurationError("tune_many needs at least one job")
-    if executor not in BATCH_EXECUTORS:
+    if not isinstance(max_workers, int) or max_workers < 1:
         raise ConfigurationError(
-            f"unknown batch executor {executor!r}; "
-            f"expected one of {BATCH_EXECUTORS}"
+            f"max_workers must be a positive integer, not {max_workers!r}"
         )
-    if max_workers is None:
-        max_workers = _default_max_workers(len(jobs), executor)
-    max_workers = max(1, min(max_workers, len(jobs)))
+    workers = min(max_workers, len(jobs))
+    if workers > 1:
+        for job in jobs:
+            _check_process_portable(job)
 
     previous = active_cache()
     if cache_dir is not None:
         install_cache(ArtifactCache(cache_dir))
     try:
-        if max_workers == 1:
-            return [_run_job(job) for job in jobs]
-        if executor == "process":
-            for job in jobs:
-                _check_process_portable(job)
-            # Journaled jobs write their journals from the worker; the
-            # journal file is the job's event stream back to the parent.
-            with job_pool(max_workers) as pool:
-                return list(pool.map(_run_job, jobs))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_job, jobs))
+        if workers == 1:
+            return [run_job(job) for job in jobs]
+        # Journaled jobs write their journals from the worker; the
+        # journal file is the job's event stream back to the parent.
+        with job_pool(workers) as pool:
+            return list(pool.map(run_job, jobs))
     finally:
         if cache_dir is not None:
             install_cache(previous)

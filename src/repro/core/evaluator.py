@@ -385,73 +385,65 @@ class ConfigurationEvaluator:
         created_here: list[Index] = []
         preexisting = {index.key for index in engine.indexes}
 
-        # One consolidated realtime wait per evaluation (no-op in pure
-        # simulation): per-operation microsleeps would pay scheduler
-        # wake-up latency dozens of times per Update.
-        with engine.deferred_realtime():
-            try:
-                self._check_budget(config)
-                config.apply_settings(engine)
-                meta.is_complete = True
+        try:
+            self._check_budget(config)
+            config.apply_settings(engine)
+            meta.is_complete = True
 
-                index_map = self.query_index_map(queries, config)
-                ordered = self.plan_order(queries, config)
+            index_map = self.query_index_map(queries, config)
+            ordered = self.plan_order(queries, config)
 
-                if not self._lazy_indexes:
-                    # Ablation: build every recommended index up front.
-                    for index in config.indexes:
-                        if index.key not in preexisting:
-                            meta.index_time += engine.create_index(index)
-                            created_here.append(index)
+            if not self._lazy_indexes:
+                # Ablation: build every recommended index up front.
+                for index in config.indexes:
+                    if index.key not in preexisting:
+                        meta.index_time += engine.create_index(index)
+                        created_here.append(index)
 
-                position = 0
-                total = len(ordered)
-                # With no relevant indexes anywhere the lazy-creation
-                # scan and the boundary scan are both no-ops: the whole
-                # order is one segment.
-                no_index_work = not any(index_map.values())
-                while position < total:
-                    if self._lazy_indexes and not no_index_work:
-                        for index in sorted(
-                            index_map[ordered[position].name], key=str
-                        ):
-                            if index.key in preexisting or engine.has_index(index):
-                                continue
-                            meta.index_time += engine.create_index(index)
-                            created_here.append(index)
+            position = 0
+            total = len(ordered)
+            # With no relevant indexes anywhere the lazy-creation
+            # scan and the boundary scan are both no-ops: the whole
+            # order is one segment.
+            no_index_work = not any(index_map.values())
+            while position < total:
+                if self._lazy_indexes and not no_index_work:
+                    for index in sorted(index_map[ordered[position].name], key=str):
+                        if index.key in preexisting or engine.has_index(index):
+                            continue
+                        meta.index_time += engine.create_index(index)
+                        created_here.append(index)
 
-                    end = total if no_index_work else self._segment_end(
-                        ordered, position, index_map, preexisting
+                end = total if no_index_work else self._segment_end(
+                    ordered, position, index_map, preexisting
+                )
+                batch = engine.execute_many(
+                    ordered[position:end], timeout=remaining_time
+                )
+                if batch.completed:
+                    meta.time = float(
+                        np.cumsum(np.concatenate(((meta.time,), batch.times)))[-1]
                     )
-                    batch = engine.execute_many(
-                        ordered[position:end], timeout=remaining_time
-                    )
-                    if batch.completed:
-                        meta.time = float(
-                            np.cumsum(
-                                np.concatenate(((meta.time,), batch.times))
-                            )[-1]
-                        )
-                        for query in ordered[position : position + batch.completed]:
-                            meta.completed_queries.add(query.name)
-                    remaining_time = batch.remaining
-                    if batch.fault is not None:
-                        # The completed prefix is banked above, as a
-                        # per-query loop banks it before the fault raises.
-                        raise batch.fault
-                    if not batch.complete:
-                        meta.is_complete = False
-                        break
-                    position = end
-            except (EngineFaultError, ConfigurationError) as failure:
-                meta.is_complete = False
-                meta.failed = True
-                meta.failure = str(failure)
-            finally:
-                # Indexes created by this evaluation are implicitly dropped so
-                # other configurations start from a clean slate (§5.1).
-                for index in created_here:
-                    engine.drop_index(index)
+                    for query in ordered[position : position + batch.completed]:
+                        meta.completed_queries.add(query.name)
+                remaining_time = batch.remaining
+                if batch.fault is not None:
+                    # The completed prefix is banked above, as a
+                    # per-query loop banks it before the fault raises.
+                    raise batch.fault
+                if not batch.complete:
+                    meta.is_complete = False
+                    break
+                position = end
+        except (EngineFaultError, ConfigurationError) as failure:
+            meta.is_complete = False
+            meta.failed = True
+            meta.failure = str(failure)
+        finally:
+            # Indexes created by this evaluation are implicitly dropped so
+            # other configurations start from a clean slate (§5.1).
+            for index in created_here:
+                engine.drop_index(index)
 
     def _segment_end(
         self,

@@ -364,25 +364,18 @@ class LambdaTune:
     def tune_many(
         jobs: list,
         *,
-        max_workers: int | None = None,
-        executor: str = "thread",
+        max_workers: int = 1,
         cache_dir=None,
     ) -> list[TuningResult]:
-        """Tune N workloads concurrently over a shared artifact cache.
+        """Tune N workloads over a shared artifact cache.
 
         Thin entry point to :func:`repro.core.batch.tune_many`; see that
-        module for the concurrency and determinism contract (including
-        the ``executor="thread"|"process"`` scale-out choice).  ``jobs``
-        is a list of :class:`repro.core.batch.BatchJob`.
+        module for the worker and determinism contract.  ``jobs`` is a
+        list of :class:`repro.core.batch.BatchJob`.
         """
         from repro.core.batch import tune_many as _tune_many
 
-        return _tune_many(
-            jobs,
-            max_workers=max_workers,
-            executor=executor,
-            cache_dir=cache_dir,
-        )
+        return _tune_many(jobs, max_workers=max_workers, cache_dir=cache_dir)
 
     # -- stage drivers -----------------------------------------------------------
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -170,14 +169,6 @@ class DatabaseEngine(abc.ABC):
     #: configured memory knobs demand measurably more than the
     #: simulated RAM.
     oom_swap_threshold: float = 1.05
-    #: Wall-clock seconds slept per simulated second of engine *work*
-    #: (query execution, index builds, restarts).  0 = pure simulation.
-    #: A positive factor restores the real-world cost structure the
-    #: simulation compresses away -- on a real DBMS the tuner spends its
-    #: time *waiting* for the server -- which is what concurrent jobs in
-    #: ``tune_many`` and the tuning service overlap.  Sleeps never touch
-    #: the virtual clock, so results are bit-identical at any factor.
-    realtime_factor: float = 0.0
 
     def __init__(
         self,
@@ -194,7 +185,6 @@ class DatabaseEngine(abc.ABC):
         #: and the persistent artifact cache untouched.
         self.caches = caches
         self.clock = clock or VirtualClock()
-        self._deferred_wait: float | None = None
         # Static knob bounds describe what the DBMS accepts; overlay the
         # host-derived memory ceilings so impossible allocations are
         # rejected with a typed HardwareLimitError at coerce time.
@@ -335,7 +325,6 @@ class DatabaseEngine(abc.ABC):
         self._refresh_settings_text()
         self._refresh_signature()
         self.clock.advance(self.restart_seconds)
-        self._realtime_wait(self.restart_seconds)
         return self.restart_seconds
 
     def reset_config(self) -> float:
@@ -344,38 +333,7 @@ class DatabaseEngine(abc.ABC):
         self._refresh_settings_text()
         self._refresh_signature()
         self.clock.advance(self.restart_seconds)
-        self._realtime_wait(self.restart_seconds)
         return self.restart_seconds
-
-    def _realtime_wait(self, seconds: float) -> None:
-        """Sleep out a simulated duration when ``realtime_factor`` > 0."""
-        if self.realtime_factor <= 0 or seconds <= 0:
-            return
-        if self._deferred_wait is not None:
-            self._deferred_wait += seconds
-        else:
-            time.sleep(seconds * self.realtime_factor)
-
-    @contextmanager
-    def deferred_realtime(self):
-        """Coalesce realtime waits into one sleep at block exit.
-
-        Every sleep wake-up pays scheduler latency -- dozens of
-        per-query microsleeps per evaluation add up to more than the
-        waits themselves on a busy machine.  Durations are accumulated
-        unscaled and slept once; virtual-clock behaviour is unchanged.
-        Nested blocks defer to the outermost one.
-        """
-        if self._deferred_wait is not None:
-            yield
-            return
-        self._deferred_wait = 0.0
-        try:
-            yield
-        finally:
-            total = self._deferred_wait
-            self._deferred_wait = None
-            self._realtime_wait(total)
 
     # -- physical design ------------------------------------------------------------
 
@@ -422,7 +380,6 @@ class DatabaseEngine(abc.ABC):
         self._indexes[index.key] = index
         self._refresh_signature()
         self.clock.advance(seconds)
-        self._realtime_wait(seconds)
         return seconds
 
     def drop_index(self, index: Index) -> float:
@@ -635,10 +592,8 @@ class DatabaseEngine(abc.ABC):
             )
         if timeout is not None and seconds > timeout:
             self.clock.advance(timeout)
-            self._realtime_wait(timeout)
             return ExecutionResult(complete=False, execution_time=timeout, plan=plan)
         self.clock.advance(seconds)
-        self._realtime_wait(seconds)
         return ExecutionResult(complete=True, execution_time=seconds, plan=plan)
 
     def _noise_vector(self, names: list[str]) -> np.ndarray:
@@ -737,9 +692,6 @@ class DatabaseEngine(abc.ABC):
 
         if timeout is None:
             self.clock.advance_many(seconds)
-            if self.realtime_factor > 0:
-                for value in seconds:
-                    self._realtime_wait(float(value))
             return BatchExecution(times=seconds, complete=True, remaining=None)
 
         chain = np.cumsum(
@@ -751,9 +703,6 @@ class DatabaseEngine(abc.ABC):
         cut = int(np.argmax(below)) if bool(below.any()) else len(names)
         completed = seconds[:cut]
         self.clock.advance_many(completed)
-        if self.realtime_factor > 0:
-            for value in completed:
-                self._realtime_wait(float(value))
         if cut == len(names):
             return BatchExecution(
                 times=completed, complete=True, remaining=float(chain[-1])
@@ -764,7 +713,6 @@ class DatabaseEngine(abc.ABC):
         leftover = float(chain[cut])
         if leftover > 0:
             self.clock.advance(leftover)
-            self._realtime_wait(leftover)
         return BatchExecution(times=completed, complete=False, remaining=leftover)
 
     def _execute_batch_faulty(
@@ -802,11 +750,9 @@ class DatabaseEngine(abc.ABC):
                 break
             if remaining is not None and run_seconds > remaining:
                 clock.advance(remaining)
-                self._realtime_wait(remaining)
                 complete = False
                 break
             clock.advance(run_seconds)
-            self._realtime_wait(run_seconds)
             times.append(run_seconds)
             if remaining is not None:
                 remaining = remaining - run_seconds
@@ -861,7 +807,6 @@ class DatabaseEngine(abc.ABC):
             sunk = self.io_retry_seconds * self.max_io_retries
             if timeout is None or sunk <= timeout:
                 self.clock.advance(sunk)
-                self._realtime_wait(sunk)
                 raise TransientEngineError(
                     "persistent I/O errors",
                     site="engine.io_transient",
@@ -891,7 +836,6 @@ class DatabaseEngine(abc.ABC):
             # incomplete execution, never the crash behind it.
             return seconds
         self.clock.advance(sunk)
-        self._realtime_wait(sunk)
         raise EngineFaultError(
             fault_message,
             site=decision.site,

@@ -70,7 +70,6 @@ def cmd_submit(root: ServiceRoot, args: argparse.Namespace) -> int:
         priority=args.priority,
         system=args.system,
         options=options,
-        realtime_factor=args.realtime_factor,
     )
     print(root.write_spec(spec).job_id)
     return 0
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--timeout", type=float, default=10.0,
                         help="initial per-round timeout (simulated seconds)")
     submit.add_argument("--alpha", type=float, default=10.0)
-    submit.add_argument("--realtime-factor", type=float, default=0.0)
     submit.add_argument("--job-id", default=None)
     submit.set_defaults(handler=cmd_submit)
 
@@ -252,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=2)
     run.add_argument("--executor", choices=("thread", "process"),
                      default="thread",
-                     help="job execution: worker threads (default; best "
-                          "with realtime waits) or a process pool (best "
-                          "for CPU-bound jobs)")
+                     help="where job bodies run: the worker threads "
+                          "(default; one job at a time on the GIL) or a "
+                          "process pool (jobs run in parallel, one per "
+                          "core)")
     run.add_argument("--cache-dir", default=None,
                      help="shared cross-tenant artifact cache directory")
     run.add_argument("--aging", type=int, default=1,

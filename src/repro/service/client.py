@@ -32,7 +32,6 @@ class JobClient:
         system: str = "postgres",
         options: LambdaTuneOptions | None = None,
         fault_plan: object | None = None,
-        realtime_factor: float = 0.0,
         job_id: str | None = None,
     ) -> str:
         """Submit one tuning job; returns its job id.
@@ -52,7 +51,6 @@ class JobClient:
             system=system,
             options=options or LambdaTuneOptions(),
             fault_plan=fault_plan,
-            realtime_factor=realtime_factor,
         )
         return self._server.submit(spec)
 

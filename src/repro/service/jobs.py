@@ -78,7 +78,6 @@ class JobSpec:
     system: str = "postgres"
     options: LambdaTuneOptions = field(default_factory=LambdaTuneOptions)
     fault_plan: object | None = None
-    realtime_factor: float = 0.0
 
     def workload_ref(self) -> str:
         """The durable string form of :attr:`workload`."""
@@ -122,7 +121,6 @@ class JobSpec:
             workload=self.resolve_workload(resolver),
             system=self.system,
             options=self.options,
-            realtime_factor=self.realtime_factor,
             fault_plan=self.fault_plan,
             journal_path=journal_path,
         )
@@ -231,7 +229,6 @@ class ServiceRoot:
             "priority": spec.priority,
             "workload": spec.workload_ref(),
             "system": spec.system,
-            "realtime_factor": spec.realtime_factor,
             "options": codec.encode(spec.options),
             "fault_plan": codec.encode(spec.fault_plan),
         }
@@ -269,13 +266,16 @@ class ServiceRoot:
                 f"job spec {path} has version {version!r}; "
                 f"this build reads version {SPEC_VERSION}"
             )
+        # Only the keys below are read.  Specs written by older builds
+        # also carry ``realtime_factor`` (wall-clock sleep per simulated
+        # second, which never changed a result); it is dropped here,
+        # whatever its value.
         return JobSpec(
             job_id=payload["job_id"],
             tenant=payload["tenant"],
             priority=payload["priority"],
             workload=payload["workload"],
             system=payload["system"],
-            realtime_factor=payload["realtime_factor"],
             options=codec.decode(payload["options"]),
             fault_plan=codec.decode(payload["fault_plan"]),
         )

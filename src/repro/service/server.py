@@ -45,12 +45,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.cache import ArtifactCache, active_cache, install_cache
-from repro.core.batch import (
-    BATCH_EXECUTORS,
-    job_pool,
-    resume_job,
-    run_job,
-)
+from repro.core.batch import job_pool, resume_job, run_job
 from repro.core.result import TuningResult
 from repro.errors import (
     ConfigurationError,
@@ -77,6 +72,9 @@ from repro.workloads.base import Workload
 from repro.workloads.registry import load_workload
 
 _SERVER_TOKENS = itertools.count()
+
+#: Where job bodies run: the server's worker threads or a process pool.
+BATCH_EXECUTORS = ("thread", "process")
 
 #: Registry workloads one pool worker keeps between jobs.
 _WORKER_WORKLOAD_SLOTS = 4
@@ -238,12 +236,15 @@ class TuningServer:
         resolved (:class:`_WorkloadLRU`), so later jobs on the same
         spec start with that workload's catalog caches warm; in-process
         workloads are resolved in the parent and pickled per job.
-        Right for CPU-bound jobs
-        (``realtime_factor=0``) that worker threads would serialize on
-        the GIL; results stay byte-identical either way.  Cache-counter
-        deltas (:meth:`tenant_cache_stats`) accrue in the children and
-        read as zero from the parent.  A ``crash_probe`` must be
-        picklable (a module-level function) to cross into the pool.
+        Jobs are CPU-bound, so only ``"process"`` runs them in
+        parallel; worker threads serialize them on the GIL.  Results
+        stay byte-identical either way.  The thread runner stays for
+        what the pool cannot do: it runs an unpicklable ``crash_probe``
+        (closures; the pool needs a module-level function), never
+        pickles a workload, and is the only runner whose
+        :meth:`tenant_cache_stats` is exact -- under ``"process"``
+        the cache-counter deltas accrue in the children and read as
+        zero from the parent.
     quotas / default_quota / aging:
         Scheduling policy, passed to :class:`JobQueue`.
     cache_dir:

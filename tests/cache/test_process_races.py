@@ -4,8 +4,8 @@ Two processes publishing the same key concurrently must both succeed
 (atomic tmpfile + ``os.replace`` -- last writer wins, every reader
 sees a complete entry), and a worker that reads a half-written /
 corrupted shared cache must degrade to recompute with identical
-results.  These are the disk-tier guarantees the process executors
-(`tune_many(executor="process")`, `TuningServer(executor="process")`)
+results.  These are the disk-tier guarantees the process pool workers
+(`tune_many(..., max_workers=n > 1)`, `TuningServer(executor="process")`)
 stand on.
 """
 

@@ -80,18 +80,13 @@ def test_jobs_can_target_different_systems(tiny_workload):
     assert results[1].system == "mysql"
 
 
-def test_job_build_honours_engine_and_realtime_factor(tiny_workload, tiny_catalog):
+def test_job_build_honours_engine(tiny_workload, tiny_catalog):
     engine = MySQLEngine(tiny_catalog)
     job = BatchJob(
-        workload=tiny_workload,
-        engine=engine,
-        llm=SimulatedLLM(),
-        realtime_factor=0.25,
-        options=OPTIONS,
+        workload=tiny_workload, engine=engine, llm=SimulatedLLM(), options=OPTIONS
     )
     tuner = job.build()
     assert tuner._engine is engine
-    assert engine.realtime_factor == 0.25
 
 
 def test_shared_cache_beats_nothing_but_results_identical(tiny_workload, tmp_path):

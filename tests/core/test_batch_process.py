@@ -1,8 +1,8 @@
-"""The ``executor="process"`` path of ``tune_many`` (PR 10).
+"""``tune_many`` with more than one worker: the process pool (PR 10).
 
-Byte-identity across serial / thread / process executors -- with and
-without a deterministic :class:`FaultPlan` -- plus the executor-aware
-``max_workers`` heuristic and journaled resume from a worker process.
+Byte-identity between the serial loop and pool workers -- with and
+without a deterministic :class:`FaultPlan` -- plus the typed errors for
+jobs the pool cannot take and journaled resume from a worker process.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 from repro.cache import install_cache
 from repro.core import BatchJob, LambdaTuneOptions, tune_many
 from repro.core.batch import (
-    _default_max_workers,
     job_pool,
     preferred_mp_context,
     resume_job,
@@ -58,15 +57,9 @@ def fingerprints(results):
 
 
 class TestByteIdentity:
-    def test_process_matches_serial_and_thread(self, tiny_workload):
+    def test_process_matches_serial(self, tiny_workload):
         serial = tune_many(seeded_jobs(tiny_workload), max_workers=1)
-        thread = tune_many(
-            seeded_jobs(tiny_workload), executor="thread", max_workers=4
-        )
-        process = tune_many(
-            seeded_jobs(tiny_workload), executor="process", max_workers=4
-        )
-        assert fingerprints(serial) == fingerprints(thread)
+        process = tune_many(seeded_jobs(tiny_workload), max_workers=4)
         assert fingerprints(serial) == fingerprints(process)
 
     def test_process_matches_serial_under_faults(self, tiny_workload):
@@ -75,9 +68,7 @@ class TestByteIdentity:
             seeded_jobs(tiny_workload, fault_plan=plan), max_workers=1
         )
         process = tune_many(
-            seeded_jobs(tiny_workload, fault_plan=plan),
-            executor="process",
-            max_workers=4,
+            seeded_jobs(tiny_workload, fault_plan=plan), max_workers=4
         )
         assert fingerprints(serial) == fingerprints(process)
 
@@ -90,27 +81,20 @@ class TestByteIdentity:
         )
         assert preferred_mp_context().get_start_method() == "spawn"
         serial = tune_many(seeded_jobs(tiny_workload), max_workers=1)
-        spawned = tune_many(
-            seeded_jobs(tiny_workload), executor="process", max_workers=2
-        )
+        spawned = tune_many(seeded_jobs(tiny_workload), max_workers=2)
         assert fingerprints(spawned) == fingerprints(serial)
 
     def test_shared_disk_cache_is_transparent(self, tiny_workload, tmp_path):
         serial = tune_many(seeded_jobs(tiny_workload), max_workers=1)
         process = tune_many(
-            seeded_jobs(tiny_workload),
-            executor="process",
-            max_workers=2,
-            cache_dir=tmp_path / "cache",
+            seeded_jobs(tiny_workload), max_workers=2, cache_dir=tmp_path / "cache"
         )
         assert fingerprints(serial) == fingerprints(process)
 
     def test_journaled_process_jobs_match_plain(self, tiny_workload, tmp_path):
         plain = tune_many(seeded_jobs(tiny_workload), max_workers=1)
         journaled = tune_many(
-            seeded_jobs(tiny_workload, journal_dir=tmp_path),
-            executor="process",
-            max_workers=4,
+            seeded_jobs(tiny_workload, journal_dir=tmp_path), max_workers=4
         )
         assert fingerprints(plain) == fingerprints(journaled)
         assert sorted(tmp_path.glob("*.wal"))
@@ -134,11 +118,12 @@ class TestProcessResume:
 
 
 class TestValidation:
-    def test_unknown_executor_rejected(self, tiny_workload):
-        with pytest.raises(ConfigurationError, match="unknown batch executor"):
+    @pytest.mark.parametrize("max_workers", [None, 0, -2])
+    def test_worker_count_must_be_positive(self, tiny_workload, max_workers):
+        with pytest.raises(ConfigurationError, match="max_workers"):
             tune_many(
                 [BatchJob(workload=tiny_workload, options=OPTIONS)],
-                executor="fiber",
+                max_workers=max_workers,
             )
 
     def test_explicit_engine_rejected_for_process(self, tiny_workload):
@@ -147,42 +132,24 @@ class TestValidation:
             options=OPTIONS,
             engine=PostgresEngine(tiny_workload.catalog),
         )
-        with pytest.raises(ConfigurationError, match="process"):
-            tune_many([job, job], executor="process", max_workers=2)
+        with pytest.raises(ConfigurationError, match="max_workers > 1"):
+            tune_many([job, job], max_workers=2)
 
     def test_explicit_llm_rejected_for_process(self, tiny_workload):
         job = BatchJob(
             workload=tiny_workload, options=OPTIONS, llm=SimulatedLLM()
         )
-        with pytest.raises(ConfigurationError, match="process"):
-            tune_many([job, job], executor="process", max_workers=2)
+        with pytest.raises(ConfigurationError, match="max_workers > 1"):
+            tune_many([job, job], max_workers=2)
 
-
-class TestWorkerHeuristic:
-    """``max_workers=None`` must not oversubscribe a process pool."""
-
-    def test_process_default_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(4)))
-        assert _default_max_workers(64, "process") == 4
-
-    def test_process_default_respects_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
-        assert _default_max_workers(64, "process") == 2
-
-    def test_process_default_without_affinity_support(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.delattr("os.sched_getaffinity", raising=False)
-        assert _default_max_workers(64, "process") == 4
-
-    def test_thread_default_keeps_prior_behavior(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
-        assert _default_max_workers(64, "thread") == 4
-        assert _default_max_workers(2, "thread") == 2
-
-    def test_fewer_jobs_than_cores(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 16)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(16)))
-        assert _default_max_workers(3, "process") == 3
+    def test_explicit_engine_runs_in_the_default_serial_loop(self, tiny_workload):
+        job = BatchJob(
+            workload=tiny_workload,
+            options=OPTIONS,
+            engine=PostgresEngine(tiny_workload.catalog),
+            llm=SimulatedLLM(),
+        )
+        [result] = tune_many([job])
+        assert result.fingerprint() == run_job(
+            BatchJob(workload=tiny_workload, options=OPTIONS)
+        ).fingerprint()

@@ -3,9 +3,12 @@
 Everything in the reproduction must be bit-stable for a given seed:
 engines (deterministic noise via content hashes, not ``hash()``),
 the LLM (seeded styles), K-means (seeded numpy RNG), and the tuners
-(seeded ``random.Random``).  Cross-process tests additionally pin down
-independence from ``PYTHONHASHSEED`` -- no simulated timing may depend
-on set/dict iteration order.
+(seeded ``random.Random``).  A tune on the reference implementations
+(``tests.oracles.reference_mode()`` on a ``caches=False`` engine) must
+fingerprint like the optimized tune, on TPC-H and on JOB.
+Cross-process tests additionally pin down independence from
+``PYTHONHASHSEED`` -- no simulated timing may depend on set/dict
+iteration order.
 """
 
 import os
@@ -19,7 +22,7 @@ from repro.core import LambdaTune, LambdaTuneOptions
 from repro.core.prompt.compression import SELECTION_SECTION
 from repro.db.postgres import PostgresEngine
 from repro.llm import SimulatedLLM
-from repro.workloads import tpch_workload
+from repro.workloads import job_workload, tpch_workload
 from tests.oracles import reference_mode
 
 #: Import root of the in-tree package, propagated to subprocesses so
@@ -96,16 +99,23 @@ class TestInProcessDeterminism:
 
     def test_reference_mode_tune_matches_optimized(self):
         """A tune on the reference implementations, with every cache
-        off, fingerprints like the optimized tune (the full-tune check of
-        ``scripts/bench.py``)."""
-        workload = tpch_workload()
-        options = LambdaTuneOptions(
-            token_budget=400, initial_timeout=0.5, alpha=2.0, seed=9
-        )
-        optimized = _tune(workload, options=options)
-        with reference_mode():
-            reference = _tune(workload, caches=False, options=options)
-        assert reference.fingerprint() == optimized.fingerprint()
+        off, fingerprints like the optimized tune (TPC-H)."""
+        _assert_reference_mode_matches(tpch_workload())
+
+    def test_reference_mode_job_tune_matches_optimized(self):
+        """The same check on JOB, whose 13-cluster orders run the
+        hoisted DP kernel against the dict/frozenset reference."""
+        _assert_reference_mode_matches(job_workload())
+
+
+def _assert_reference_mode_matches(workload):
+    options = LambdaTuneOptions(
+        token_budget=400, initial_timeout=0.5, alpha=2.0, seed=9
+    )
+    optimized = _tune(workload, options=options)
+    with reference_mode():
+        reference = _tune(workload, caches=False, options=options)
+    assert reference.fingerprint() == optimized.fingerprint()
 
 
 class _KindRecorder(ArtifactCache):

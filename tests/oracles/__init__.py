@@ -1,8 +1,8 @@
 """Reference implementations that the production code is compared with.
 
 ``src/`` keeps one implementation per layer.  The slower, literal
-statements of the same layers live here, used only by the tests, the
-benchmarks and ``scripts/bench.py``:
+statements of the same layers live here, used only by the tests and
+the ``benchmarks/`` suite:
 
 - :mod:`.scheduler` -- Algorithm 4 over dict/frozenset states, and a
   brute-force order oracle;

@@ -32,40 +32,39 @@ def evaluate_scalar(
     created_here: list[Index] = []
     preexisting = {index.key for index in engine.indexes}
 
-    with engine.deferred_realtime():
-        try:
-            evaluator._check_budget(config)
-            config.apply_settings(engine)
-            meta.is_complete = True
+    try:
+        evaluator._check_budget(config)
+        config.apply_settings(engine)
+        meta.is_complete = True
 
-            index_map = evaluator.query_index_map(queries, config)
-            ordered = evaluator.plan_order(queries, config)
+        index_map = evaluator.query_index_map(queries, config)
+        ordered = evaluator.plan_order(queries, config)
 
-            if not evaluator._lazy_indexes:
-                for index in config.indexes:
-                    if index.key not in preexisting:
-                        meta.index_time += engine.create_index(index)
-                        created_here.append(index)
+        if not evaluator._lazy_indexes:
+            for index in config.indexes:
+                if index.key not in preexisting:
+                    meta.index_time += engine.create_index(index)
+                    created_here.append(index)
 
-            for query in ordered:
-                if evaluator._lazy_indexes:
-                    for index in sorted(index_map[query.name], key=str):
-                        if index.key in preexisting or engine.has_index(index):
-                            continue
-                        meta.index_time += engine.create_index(index)
-                        created_here.append(index)
+        for query in ordered:
+            if evaluator._lazy_indexes:
+                for index in sorted(index_map[query.name], key=str):
+                    if index.key in preexisting or engine.has_index(index):
+                        continue
+                    meta.index_time += engine.create_index(index)
+                    created_here.append(index)
 
-                result = engine.execute(query, timeout=remaining_time)
-                if not result.complete:
-                    meta.is_complete = False
-                    break
-                remaining_time -= result.execution_time
-                meta.time += result.execution_time
-                meta.completed_queries.add(query.name)
-        except (EngineFaultError, ConfigurationError) as failure:
-            meta.is_complete = False
-            meta.failed = True
-            meta.failure = str(failure)
-        finally:
-            for index in created_here:
-                engine.drop_index(index)
+            result = engine.execute(query, timeout=remaining_time)
+            if not result.complete:
+                meta.is_complete = False
+                break
+            remaining_time -= result.execution_time
+            meta.time += result.execution_time
+            meta.completed_queries.add(query.name)
+    except (EngineFaultError, ConfigurationError) as failure:
+        meta.is_complete = False
+        meta.failed = True
+        meta.failure = str(failure)
+    finally:
+        for index in created_here:
+            engine.drop_index(index)

@@ -10,7 +10,9 @@ the next server recovers.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import time
 
 import pytest
 
@@ -112,23 +114,37 @@ class TestProcessServedIdentity:
         assert served == references
 
 
+def _hold_until_cancelled(root, job_id, appends):
+    """Module-level (hence picklable, through ``functools.partial``)
+    crash probe: at the job's second append, wait -- with a bound --
+    until the job's cancel marker file exists."""
+    if appends != 2:
+        return
+    marker = ServiceRoot(root).cancel_path(job_id)
+    deadline = time.monotonic() + 60.0
+    while not marker.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
 class TestProcessCancellation:
     def test_live_cancel_crosses_via_durable_marker(
         self, tiny_workload, tmp_path
     ):
         """The child polls the on-disk cancel marker, not parent memory.
 
-        The job runs with realtime engine waits so it is reliably still
-        in flight when ``cancel`` lands; the parent writes the marker
-        file, and the worker *process* unwinds at its next journal
-        append, leaving a resumable journal behind.
+        The crash probe holds the job at its second journal append until
+        the marker exists, so the job is still in flight when ``cancel``
+        lands; the parent writes the marker file, and the worker
+        *process* unwinds at its next journal append, leaving a
+        resumable journal behind.
         """
-        import time
-
         with make_server(
             tmp_path / "svc",
             executor="process",
             workload_resolver={"tiny": tiny_workload},
+            crash_probe=functools.partial(
+                _hold_until_cancelled, str(tmp_path / "svc")
+            ),
         ) as server:
             job_id = server.submit(
                 JobSpec(
@@ -136,7 +152,6 @@ class TestProcessCancellation:
                     workload=tiny_workload,
                     tenant="t",
                     options=job_options(0),
-                    realtime_factor=0.05,
                 )
             )
             deadline = time.monotonic() + 60.0

@@ -180,7 +180,8 @@ def with_fields(text, extra):
 class TestRetiredFields:
     """Specs and journals from builds that still had a candidate
     executor carry ``workers``/``executor`` in every encoded
-    ``LambdaTuneOptions`` and ``stats`` in every ``SelectionState``."""
+    ``LambdaTuneOptions`` and ``stats`` in every ``SelectionState``;
+    specs from builds with simulated waits carry ``realtime_factor``."""
 
     RETIRED = {
         "LambdaTuneOptions": {"workers": 4, "executor": "thread"},
@@ -189,8 +190,12 @@ class TestRetiredFields:
         },
     }
 
+    #: Retired top-level keys of a spec file.
+    RETIRED_SPEC = {"realtime_factor": 0.125}
+
     def old_format_root(self, tmp_path, workload, extra):
-        """A crash root whose spec and torn journal carry ``extra``."""
+        """A crash root whose spec and torn journal carry ``extra``, and
+        whose spec also carries the top-level :attr:`RETIRED_SPEC` keys."""
         full_root = tmp_path / "full"
         job_id, _ = served_once(full_root, workload, job_options(3))
         journal = full_root / "journals" / f"{job_id}.journal"
@@ -202,7 +207,9 @@ class TestRetiredFields:
             tmp_path, full_root, job_id, torn + lines[cut][:40], "old"
         )
         spec = root / "jobs" / f"{job_id}.job"
-        spec.write_text(with_fields(spec.read_text(), extra))
+        payload = json.loads(with_fields(spec.read_text(), extra))
+        payload.update(self.RETIRED_SPEC)
+        spec.write_text(json.dumps(payload, separators=(",", ":")))
         return root, job_id
 
     def test_server_resumes_old_spec_and_journal(
@@ -212,6 +219,8 @@ class TestRetiredFields:
         root, job_id = self.old_format_root(tmp_path, tiny_workload, self.RETIRED)
         journal = (root / "journals" / f"{job_id}.journal").read_text()
         assert '"stats"' in journal and '"executor"' in journal
+        spec = json.loads((root / "jobs" / f"{job_id}.job").read_text())
+        assert spec["realtime_factor"] == 0.125
         resumed = recover(root, tiny_workload, job_id)
         assert fingerprint(resumed) == fingerprint(reference)
 

@@ -89,11 +89,11 @@ class TestServiceRoot:
             priority=7,
             options=job_options(3),
             fault_plan=FaultPlan(seed=5, density=0.25),
-            realtime_factor=0.125,
         )
         root.write_spec(spec)
         loaded = root.read_spec("job-0000")
         assert loaded == spec
+        assert "realtime_factor" not in root.spec_path("job-0000").read_text()
 
     def test_duplicate_id_rejected(self, service_root):
         root = ServiceRoot(service_root)

@@ -7,7 +7,8 @@ import pytest
 from repro.db.indexes import Index
 from repro.db.postgres import PostgresEngine
 from repro.errors import ReproError
-from repro.workloads import CompiledWorkload, compile_workload
+from repro.workloads import CompiledWorkload, compile_workload, tpch_workload
+from tests.oracles import reference_mode
 
 
 class TestCompileWorkload:
@@ -62,3 +63,14 @@ class TestCompileWorkload:
         assert first is not second
         assert first.default_costs == second.default_costs
         assert first.default_costs == compile_workload(tiny_workload).default_costs
+
+    def test_cached_artifact_matches_uncached_reference_on_tpch(self):
+        workload = tpch_workload()
+        compiled = compile_workload(workload)
+        with reference_mode():
+            reference = compile_workload(
+                workload, engine=PostgresEngine(workload.catalog, caches=False)
+            )
+        assert reference is not compiled
+        assert reference.default_costs == compiled.default_costs
+        assert reference.join_values == compiled.join_values
