@@ -258,8 +258,3 @@ class ArtifactCache:
         value = compute()
         self.store(kind, material, value)
         return value
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (disk entries stay)."""
-        with self._lock:
-            self._memory.entries.clear()

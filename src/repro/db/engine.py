@@ -56,11 +56,11 @@ from repro.sql.analyzer import QueryInfo, analyze
 _MAX_SHARED_CACHE_ENTRIES = 65536
 
 
-#: Safety valve for the per-engine noise-vector memo (one float64 array
-#: per (configuration signature, segment query names) pair).  Evicted
+#: Safety valve for the per-engine segment-duration memo (one float64
+#: array per (configuration signature, segment queries) pair).  Evicted
 #: oldest-first, so the segments of the workload currently being tuned
 #: stay resident.
-_MAX_NOISE_CACHE_ENTRIES = 512
+_MAX_SECONDS_CACHE_ENTRIES = 512
 
 
 def shared_catalog_cache(catalog: Catalog, section: str) -> dict:
@@ -206,13 +206,10 @@ class DatabaseEngine(abc.ABC):
         self._signature_cache: dict[tuple[str, tuple], int] = {}
         self._env_cache: dict[str, RuntimeEnv] = {}
         self._planner_costs_cache: dict[str, PlannerCosts] = {}
-        # (config signature, segment query names) -> noise factor vector;
-        # selection re-executes the same segments round after round, so
-        # the per-name SHA-256 draws dominate execute_many without this.
-        self._noise_cache: dict[tuple, np.ndarray] = {}
         # (system, hardware, config signature, names, sqls) -> the full
-        # segment duration vector; one dict hit replaces the plan-lookup
-        # and noise passes when an unchanged segment re-executes.
+        # segment duration vector; selection re-executes the same
+        # segments round after round, and one dict hit replaces the
+        # plan-lookup pass and the per-name SHA-256 noise draws.
         self._seconds_cache: dict[tuple, np.ndarray] = {}
         self._config_signature = 0
         self._refresh_settings_text()
@@ -596,29 +593,6 @@ class DatabaseEngine(abc.ABC):
         self.clock.advance(seconds)
         return ExecutionResult(complete=True, execution_time=seconds, plan=plan)
 
-    def _noise_vector(self, names: list[str]) -> np.ndarray:
-        """Per-query noise factors for one segment, memoized by content.
-
-        The factors are pure in ``(system, name, config signature)``, so
-        caching whole segment vectors is bit-transparent; the SHA-256
-        draws behind them are what the memo saves.
-        """
-        signature = self._config_signature
-        if not self.caches:
-            return deterministic_noise_vector(
-                [(self.system, name, signature) for name in names]
-            )
-        key = (signature, tuple(names))
-        cached = self._noise_cache.get(key)
-        if cached is None:
-            cached = deterministic_noise_vector(
-                [(self.system, name, signature) for name in names]
-            )
-            while len(self._noise_cache) >= _MAX_NOISE_CACHE_ENTRIES:
-                del self._noise_cache[next(iter(self._noise_cache))]
-            self._noise_cache[key] = cached
-        return cached
-
     def execute_many(
         self, queries: list, timeout: float | None = None
     ) -> BatchExecution:
@@ -656,8 +630,8 @@ class DatabaseEngine(abc.ABC):
         # pure in (system, hardware, config signature, names, sqls) --
         # the same inputs the plan cache and the noise draws key on --
         # so selection rounds re-running an unchanged segment skip the
-        # plan-lookup and noise passes entirely.  Bit-transparent for
-        # the same reason ``_noise_vector``'s memo is.
+        # plan-lookup and noise passes entirely.  Bit-transparent: the
+        # noise factors are pure in (system, name, config signature).
         names: tuple | None = None
         cache_key: tuple | None = None
         seconds: np.ndarray | None = None
@@ -679,11 +653,14 @@ class DatabaseEngine(abc.ABC):
             parts = [self._query_parts(query) for query in queries]
             planned = self._planned_batch(parts)
             bases = np.array([base for _, base in planned], dtype=np.float64)
-            noise = self._noise_vector([name for name, _, _ in parts])
+            signature = self._config_signature
+            noise = deterministic_noise_vector(
+                [(self.system, name, signature) for name, _, _ in parts]
+            )
             seconds = np.maximum(bases * noise, 1e-4)
             names = tuple(name for name, _, _ in parts)
             if cache_key is not None:
-                while len(self._seconds_cache) >= _MAX_NOISE_CACHE_ENTRIES:
+                while len(self._seconds_cache) >= _MAX_SECONDS_CACHE_ENTRIES:
                     del self._seconds_cache[next(iter(self._seconds_cache))]
                 self._seconds_cache[cache_key] = seconds
 

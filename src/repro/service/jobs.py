@@ -23,13 +23,16 @@ with exact floats and no pickling.  Workloads are persisted as spec
 resolver -- the escape hatch tests and embedders use for workloads that
 have no registry spelling.
 
-The two spellings travel differently under ``TuningServer(executor=
-"process")``.  A registry spec string goes to the pool worker as the
-string, and the worker resolves it through a small LRU of workloads it
-keeps between jobs, so a later job on the same spec reuses that
-workload's warm catalog caches.  An ``"@<name>"`` reference (or a
-``Workload`` object) is resolved in the server process and pickled into
-every job it dispatches.
+The two spellings travel differently.  A registry spec string stays a
+string until the job body runs, which resolves it through a small LRU
+of workloads kept by the process running the body: the server's own
+under ``TuningServer(executor="thread")``, each pool worker's under
+``"process"``.  A later job on the same spec therefore reuses that
+workload's warm catalog caches, and only the string crosses to a pool
+worker.  An ``"@<name>"`` reference (or a ``Workload`` object) is
+resolved by the server before the body runs; under ``"process"`` the
+workload is pickled into every job it dispatches, without its catalog
+caches.
 """
 
 from __future__ import annotations
@@ -111,14 +114,15 @@ class JobSpec:
         return load_workload(self.workload)
 
     def to_batch_job(
-        self,
-        *,
-        resolver: dict[str, Workload] | None = None,
-        journal_path: str | os.PathLike[str] | None = None,
+        self, *, journal_path: str | os.PathLike[str] | None = None
     ) -> BatchJob:
-        """The :class:`~repro.core.batch.BatchJob` executing this spec."""
+        """The :class:`~repro.core.batch.BatchJob` executing this spec.
+
+        An ``"@<name>"`` reference must be resolved first (see
+        :meth:`resolve_workload`); a registry spec string loads afresh.
+        """
         return BatchJob(
-            workload=self.resolve_workload(resolver),
+            workload=self.resolve_workload(),
             system=self.system,
             options=self.options,
             fault_plan=self.fault_plan,

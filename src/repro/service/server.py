@@ -5,8 +5,9 @@
 - jobs are :class:`~repro.service.jobs.JobSpec`\\ s persisted
   write-ahead under the service root, admitted through a
   :class:`~repro.service.queue.JobQueue` (priorities, aging,
-  per-tenant quotas), and run by a pool of worker threads; with
-  ``executor="process"`` each job body runs in a worker process of
+  per-tenant quotas), and run by a pool of worker threads; each job
+  body is one call of :func:`_run_job_body`, made on the worker thread
+  or, with ``executor="process"``, in a worker process of
   :func:`~repro.core.batch.job_pool`, the pool ``tune_many`` uses;
 - every job executes as a PR-4 :class:`~repro.session.TuningSession`
   whose journal *is* the durable job record: :meth:`TuningServer.start`
@@ -23,9 +24,10 @@
   adoption, so two workers -- or two servers sharing a root -- can
   never double-resume one journal.
 
-Cancellation and chaos share one mechanism: the server wraps each
-job's journal so that *before every append* it checks the job's cancel
-flag and the server's crash probe.  A cancelled job unwinds with
+Cancellation and chaos share one mechanism: the job body wraps its
+journal so that *before every append* it checks the server's kill flag
+(thread runner), the job's durable cancel marker, and the server's
+crash probe.  A cancelled job unwinds with
 :class:`~repro.errors.JobCancelledError` at the next journal boundary,
 releases its quota, and leaves a resumable journal; a chaos kill
 (:class:`~repro.errors.ServerKilledError`) abandons leases and
@@ -42,7 +44,6 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from repro.cache import ArtifactCache, active_cache, install_cache
 from repro.core.batch import job_pool, resume_job, run_job
@@ -76,30 +77,37 @@ _SERVER_TOKENS = itertools.count()
 #: Where job bodies run: the server's worker threads or a process pool.
 BATCH_EXECUTORS = ("thread", "process")
 
-#: Registry workloads one pool worker keeps between jobs.
+#: Registry workloads one process keeps between jobs.
 _WORKER_WORKLOAD_SLOTS = 4
+
+#: The artifact-cache counters :meth:`TuningServer.tenant_cache_stats`
+#: reports.
+_TENANT_COUNTERS = ("memory_hits", "disk_hits", "stores")
 
 
 class _JobControl:
-    """Per-job cancellation flag + chaos probe, checked at journal appends."""
+    """The checks one job makes before every journal append.
 
-    def __init__(self, server: "TuningServer", job_id: str) -> None:
-        self._server = server
-        self.job_id = job_id
-        self.cancel_event = threading.Event()
+    In order: the server's kill flag (``killed``; the thread runner
+    only, since :meth:`TuningServer.kill` terminates pool workers), the
+    job's durable cancel marker, which :meth:`TuningServer.cancel`
+    writes, and the server's chaos probe.
+    """
+
+    def __init__(self, body: _JobBody, killed: threading.Event | None) -> None:
+        self._body = body
+        self._killed = killed
         self.appends = 0
 
     def before_append(self) -> None:
-        if self._server._killed.is_set():
-            raise ServerKilledError(
-                f"server {self._server.token} is down (job {self.job_id})"
-            )
-        if self.cancel_event.is_set():
-            raise JobCancelledError(f"job {self.job_id} cancelled by tenant")
+        job_id = self._body.spec.job_id
+        if self._killed is not None and self._killed.is_set():
+            raise ServerKilledError(f"server is down (job {job_id})")
+        if os.path.exists(self._body.cancel_path):
+            raise JobCancelledError(f"job {job_id} cancelled by tenant")
         self.appends += 1
-        probe = self._server.crash_probe
-        if probe is not None:
-            probe(self.job_id, self.appends)
+        if self._body.probe is not None:
+            self._body.probe(job_id, self.appends)
 
 
 class _ServiceJournal(TuningJournal):
@@ -115,22 +123,16 @@ class _ServiceJournal(TuningJournal):
 
 
 @dataclass(slots=True)
-class _ProcessJobPayload:
-    """Everything a worker *process* needs to run one service job.
+class _JobBody:
+    """Everything :func:`_run_job_body` needs to run one service job.
 
-    The parent keeps the lease, the record, and the queue; the child
-    gets the picklable execution recipe: the job's spec and journal
-    path, from which it builds the :class:`~repro.core.batch.BatchJob`.
-    A registry spec string (``"tpch-sf1"``) crosses as the string, and
-    the worker resolves it through its :class:`_WorkloadLRU`, so jobs
-    naming the same spec share one workload and its warm catalog
-    caches.  An in-process workload (a ``Workload`` object or an
-    ``"@name"`` reference) has no registry spelling: the parent
-    resolves it and the spec carries the object.  Cancellation crosses
-    the boundary through the durable cancel marker file (``cancel()``
-    writes it before flipping the in-memory event, precisely so a
-    child can poll it), and the chaos ``probe`` rides along when it is
-    picklable (module-level functions; closures stay thread-only).
+    The server keeps the lease, the record and the queue; the body is
+    the picklable recipe both runners execute.  A registry spec string
+    (``"tpch-sf1"``) stays a string, which the body resolves through
+    its process's :class:`_WorkloadLRU`; a ``Workload`` object or an
+    ``"@name"`` reference arrives resolved.  ``probe`` is the server's
+    chaos hook, which the process runner can send only if it pickles
+    (a module-level function, not a closure).
     """
 
     spec: JobSpec
@@ -140,77 +142,92 @@ class _ProcessJobPayload:
     probe: object | None = None
 
 
-class _MarkerControl:
-    """Child-side twin of :class:`_JobControl`: polls the cancel file."""
-
-    def __init__(self, payload: _ProcessJobPayload) -> None:
-        self._payload = payload
-        self.appends = 0
-
-    def before_append(self) -> None:
-        job_id = self._payload.spec.job_id
-        if os.path.exists(self._payload.cancel_path):
-            raise JobCancelledError(f"job {job_id} cancelled by tenant")
-        self.appends += 1
-        if self._payload.probe is not None:
-            self._payload.probe(job_id, self.appends)
-
-
 class _WorkloadLRU:
-    """The registry workloads one pool worker keeps between its jobs.
+    """The registry workloads one process keeps between its jobs.
 
     A workload carries its catalog's caches (analysis, plans,
     selectivity, compiled workloads, join values, snippet selections),
     so a job that reuses its spec's workload starts with whatever the
-    worker's earlier jobs derived.  The caches are bit-transparent:
+    process's earlier jobs derived.  The caches are bit-transparent:
     results do not depend on which jobs ran before.  At most ``slots``
-    workloads stay; the least recently used one goes first.
+    workloads stay; the least recently used one goes first.  The
+    thread runner's worker threads share one instance, hence the lock.
     """
 
     def __init__(self, slots: int) -> None:
         self._slots = slots
         self._workloads: OrderedDict[str, Workload] = OrderedDict()
+        self.lock = threading.Lock()
 
     def get(self, spec: str) -> Workload:
         """The workload ``spec`` names, loaded on its first use."""
-        workload = self._workloads.get(spec)
-        if workload is None:
-            workload = load_workload(spec)
-            self._workloads[spec] = workload
-            if len(self._workloads) > self._slots:
-                self._workloads.popitem(last=False)
-        else:
-            self._workloads.move_to_end(spec)
-        return workload
+        with self.lock:
+            workload = self._workloads.get(spec)
+            if workload is None:
+                workload = load_workload(spec)
+                self._workloads[spec] = workload
+                if len(self._workloads) > self._slots:
+                    self._workloads.popitem(last=False)
+            else:
+                self._workloads.move_to_end(spec)
+            return workload
 
 
-#: This process's workloads when it serves as a pool worker; the
-#: parent never resolves through it.
+#: This process's registry workloads: the server's under the thread
+#: runner, each pool worker's own under the process runner.
 _worker_workloads = _WorkloadLRU(_WORKER_WORKLOAD_SLOTS)
 
 
-def _service_process_job(payload: _ProcessJobPayload) -> TuningResult:
-    """Run one service job inside a pool worker process.
+def _fresh_lock_after_fork() -> None:
+    # A pool worker forked while a server thread was loading a workload
+    # would otherwise inherit the lock held, by a thread it lacks.
+    _worker_workloads.lock = threading.Lock()
 
-    ``JobCancelledError`` / ``ServerKilledError`` raised here propagate
-    to the parent through the future (``concurrent.futures`` process
-    workers forward ``BaseException``), where ``_run_record``'s
-    existing handlers classify them exactly as in thread mode; so do
-    the errors of resolving an unknown spec string.
+
+os.register_at_fork(after_in_child=_fresh_lock_after_fork)
+
+
+def _cache_counters() -> dict[str, int] | None:
+    """This process's artifact-cache counters; ``None`` without a cache."""
+    cache = active_cache()
+    return None if cache is None else cache.stats.snapshot()
+
+
+def _run_job_body(
+    body: _JobBody, killed: threading.Event | None = None
+) -> tuple[TuningResult, dict[str, int] | None]:
+    """Run one service job: the only path from a ``JobSpec`` to a result.
+
+    The thread runner calls it on a worker thread with the server's
+    kill flag; the process runner submits it to the
+    :func:`~repro.core.batch.job_pool`.  Returns the result and the
+    job's artifact-cache counter deltas (memory hits, disk hits,
+    stores) in the process that ran it, ``None`` without a cache.
+    ``JobCancelledError``, ``ServerKilledError`` and the errors of
+    resolving an unknown spec string propagate, through the future
+    under the process runner, to ``_run_record``'s handlers.
     """
-    control = _MarkerControl(payload)
+    before = _cache_counters()
+    control = _JobControl(body, killed)
 
     def factory(path, *, append: bool = False):
         return _ServiceJournal(path, append=append, control=control)
 
-    spec = payload.spec
+    spec = body.spec
     name = spec.registry_spec()
     if name is not None:
         spec = replace(spec, workload=_worker_workloads.get(name))
-    job = spec.to_batch_job(journal_path=payload.journal_path)
-    if payload.resumed:
-        return resume_job(job, journal_factory=factory)
-    return run_job(job, journal_factory=factory)
+    job = spec.to_batch_job(journal_path=body.journal_path)
+    if body.resumed:
+        result = resume_job(job, journal_factory=factory)
+    else:
+        result = run_job(job, journal_factory=factory)
+    after = _cache_counters()
+    if before is None or after is None:
+        return result, None
+    return result, {
+        key: max(0, after[key] - before[key]) for key in _TENANT_COUNTERS
+    }
 
 
 class TuningServer:
@@ -226,25 +243,24 @@ class TuningServer:
         evaluates its candidates one at a time (Algorithm 2), so
         ``workers`` bounds how many jobs tune concurrently.
     executor:
-        ``"thread"`` (default) runs job bodies on the worker threads
-        themselves.  ``"process"`` keeps the threads for queueing,
-        leases, and state, but dispatches each job body to a
-        :func:`~repro.core.batch.job_pool` process pool: the child
-        rebuilds engine/LLM from the job spec and installs the shared
-        on-disk cache.  A registry spec string is sent to the child as
-        the string, and each worker keeps the last few workloads it
-        resolved (:class:`_WorkloadLRU`), so later jobs on the same
-        spec start with that workload's catalog caches warm; in-process
-        workloads are resolved in the parent and pickled per job.
-        Jobs are CPU-bound, so only ``"process"`` runs them in
+        Where the job body, :func:`_run_job_body`, runs; both runners
+        execute the same one.  ``"thread"`` (default) calls it on the
+        worker threads themselves.  ``"process"`` keeps the threads
+        for queueing, leases, and state, and submits each body to a
+        :func:`~repro.core.batch.job_pool` process pool, whose children
+        install the shared on-disk cache.  A registry spec string
+        travels as the string and is resolved through the running
+        process's :class:`_WorkloadLRU` -- the server's under
+        ``"thread"``, each pool worker's under ``"process"`` -- so
+        later jobs on the same spec start with that workload's catalog
+        caches warm.  ``"@name"`` and ``Workload`` jobs are resolved by
+        the server; ``"process"`` pickles them into each job, schema
+        only.  Jobs are CPU-bound, so only ``"process"`` runs them in
         parallel; worker threads serialize them on the GIL.  Results
         stay byte-identical either way.  The thread runner stays for
-        what the pool cannot do: it runs an unpicklable ``crash_probe``
-        (closures; the pool needs a module-level function), never
-        pickles a workload, and is the only runner whose
-        :meth:`tenant_cache_stats` is exact -- under ``"process"``
-        the cache-counter deltas accrue in the children and read as
-        zero from the parent.
+        what cannot cross a process boundary: a closure
+        ``crash_probe`` (the pool needs a module-level function) and
+        test guards patched into this process.
     quotas / default_quota / aging:
         Scheduling policy, passed to :class:`JobQueue`.
     cache_dir:
@@ -295,7 +311,6 @@ class TuningServer:
         self._cache_installed = False
         self._resolver = dict(workload_resolver or {})
         self._records: dict[str, JobRecord] = {}
-        self._controls: dict[str, _JobControl] = {}
         self._terminal: dict[str, threading.Event] = {}
         self._tenant_stats: dict[str, dict[str, int]] = {}
         self._lock = threading.Lock()
@@ -391,7 +406,6 @@ class TuningServer:
     def _register(self, record: JobRecord, *, terminal: bool) -> None:
         """Track ``record``; the caller holds ``self._lock``."""
         self._records[record.job_id] = record
-        self._controls[record.job_id] = _JobControl(self, record.job_id)
         event = threading.Event()
         if terminal:
             event.set()
@@ -464,7 +478,6 @@ class TuningServer:
             self.root.spec_path(job_id).unlink(missing_ok=True)
             with self._lock:
                 self._records.pop(job_id, None)
-                self._controls.pop(job_id, None)
                 self._terminal.pop(job_id, None)
             raise
         return job_id
@@ -490,7 +503,6 @@ class TuningServer:
                 return CANCELLED
         if record.state == RUNNING:
             self.root.mark_cancelled(job_id)
-            self._controls[job_id].cancel_event.set()
         return record.state
 
     # -- inspection ------------------------------------------------------------
@@ -549,21 +561,23 @@ class TuningServer:
         return True
 
     def cache_stats(self) -> dict[str, int] | None:
-        cache = active_cache()
-        return None if cache is None else cache.stats.snapshot()
+        return _cache_counters()
 
     def tenant_cache_stats(self, tenant: str) -> dict[str, int]:
-        """Cache-counter deltas accumulated while this tenant's jobs ran.
+        """Artifact-cache memory hits, disk hits and stores of this
+        tenant's finished jobs.
 
-        Exact under ``workers=1``; with concurrent workers, deltas of
-        overlapping jobs interleave and the split is approximate (the
-        totals across tenants remain exact).
+        Each job body returns the deltas of the cache counters of the
+        process that ran it.  A pool worker runs one job at a time, so
+        under ``executor="process"`` every job's count is exact; so it
+        is under ``"thread"`` with one worker.  Concurrent worker
+        threads share the server's cache, and a job then also counts
+        what overlapping jobs did while it ran.
         """
         with self._lock:
             return dict(
                 self._tenant_stats.get(
-                    tenant,
-                    {"memory_hits": 0, "disk_hits": 0, "stores": 0},
+                    tenant, dict.fromkeys(_TENANT_COUNTERS, 0)
                 )
             )
 
@@ -585,7 +599,6 @@ class TuningServer:
 
     def _run_record(self, record: JobRecord) -> None:
         job_id = record.job_id
-        control = self._controls[job_id]
         journal_path = self.root.journal_path(job_id)
         try:
             lease = JournalLease.acquire(journal_path, owner_token=self.token)
@@ -595,22 +608,34 @@ class TuningServer:
             self._terminal[job_id].set()
             return
 
-        def factory(path, *, append: bool = False):
-            return _ServiceJournal(path, append=append, control=control)
-
-        stats_before = self.cache_stats()
         try:
-            resumed = record.resumed or journal_path.exists()
-            if self._pool is not None:
-                result = self._run_in_process(record.spec, journal_path, resumed)
+            spec = record.spec
+            if spec.registry_spec() is None:
+                spec = replace(spec, workload=spec.resolve_workload(self._resolver))
+            body = _JobBody(
+                spec=spec,
+                journal_path=os.fspath(journal_path),
+                resumed=record.resumed or journal_path.exists(),
+                cancel_path=os.fspath(self.root.cancel_path(job_id)),
+                probe=self.crash_probe,
+            )
+            pool = self._pool
+            if pool is None:
+                # The thread runner, or a process server that kill() has
+                # torn down: its kill flag stops the body at the first
+                # journal append.
+                result, counters = _run_job_body(body, self._killed)
             else:
-                batch_job = record.spec.to_batch_job(
-                    resolver=self._resolver, journal_path=journal_path
-                )
-                if resumed:
-                    result = resume_job(batch_job, journal_factory=factory)
-                else:
-                    result = run_job(batch_job, journal_factory=factory)
+                try:
+                    result, counters = pool.submit(_run_job_body, body).result()
+                except (BrokenProcessPool, RuntimeError) as error:
+                    if not self._killed.is_set():
+                        raise
+                    # kill() terminated the pool workers mid-job.
+                    raise ServerKilledError(
+                        f"server {self.token} is down (job {job_id})"
+                    ) from error
+            self._account(record.tenant, counters)
             record.result = result
             record.state = DONE
             record.error = None
@@ -631,54 +656,16 @@ class TuningServer:
             record.error = f"{type(error).__name__}: {error}"
             lease.release()
             self._terminal[job_id].set()
-        finally:
-            self._account(record.tenant, stats_before)
 
-    def _run_in_process(
-        self, spec: JobSpec, journal_path: Path, resumed: bool
-    ) -> TuningResult:
-        """Dispatch one job body to the process pool and await it.
-
-        The worker thread keeps the lease and the record; the child
-        does the tuning.  A registry spec string is sent as is (the
-        worker resolves it); any other workload is resolved here and
-        sent as the object.  Child-side ``JobCancelledError`` /
-        ``ServerKilledError`` surface through the future unchanged; a
-        pool broken by :meth:`kill` (children terminated mid-write)
-        maps to :class:`ServerKilledError` so the caller's chaos
-        handling is identical to thread mode.
-        """
-        job_id = spec.job_id
-        if spec.registry_spec() is None:
-            spec = replace(spec, workload=spec.resolve_workload(self._resolver))
-        payload = _ProcessJobPayload(
-            spec=spec,
-            journal_path=os.fspath(journal_path),
-            resumed=resumed,
-            cancel_path=os.fspath(self.root.cancel_path(job_id)),
-            probe=self.crash_probe,
-        )
-        pool = self._pool
-        try:
-            future = pool.submit(_service_process_job, payload)
-            return future.result()
-        except (BrokenProcessPool, RuntimeError) as error:
-            if self._killed.is_set():
-                raise ServerKilledError(
-                    f"server {self.token} is down (job {job_id})"
-                ) from error
-            raise
-
-    def _account(self, tenant: str, before: dict[str, int] | None) -> None:
-        after = self.cache_stats()
-        if before is None or after is None:
+    def _account(self, tenant: str, counters: dict[str, int] | None) -> None:
+        if counters is None:
             return
         with self._lock:
             bucket = self._tenant_stats.setdefault(
-                tenant, {"memory_hits": 0, "disk_hits": 0, "stores": 0}
+                tenant, dict.fromkeys(_TENANT_COUNTERS, 0)
             )
             for key in bucket:
-                bucket[key] += max(0, after[key] - before[key])
+                bucket[key] += counters[key]
 
     # -- context manager -------------------------------------------------------
 

@@ -67,10 +67,8 @@ class JournalInfo:
 def inspect_journal(path: str | Path) -> JournalInfo:
     """Classify one journal file (see the module doc for the states)."""
     path = Path(path)
-    events = TuningJournal.read(path)
-    raw = path.read_text(encoding="utf-8")
-    intact = sum(len(_raw_line(raw, index)) for index in range(len(events)))
-    torn = len(raw) != intact
+    events, intact = TuningJournal.read_intact(path)
+    torn = path.stat().st_size != intact
     complete = bool(events) and events[-1].kind == "done"
     name = path.name
     if name.endswith(JOURNAL_SUFFIX):
@@ -82,15 +80,6 @@ def inspect_journal(path: str | Path) -> JournalInfo:
         complete=complete,
         torn_tail=torn,
     )
-
-
-def _raw_line(raw: str, index: int) -> str:
-    """The ``index``-th physical line of ``raw``, newline included."""
-    start = 0
-    for _ in range(index):
-        start = raw.index("\n", start) + 1
-    end = raw.find("\n", start)
-    return raw[start:] if end < 0 else raw[start : end + 1]
 
 
 def discover_journals(directory: str | Path) -> list[JournalInfo]:

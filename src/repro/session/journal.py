@@ -44,22 +44,31 @@ class TuningJournal:
         self.path = Path(path)
         next_seq = 0
         if append and self.path.exists():
-            events = self.read(self.path)
+            events, intact = self.read_intact(self.path)
             if events:
                 next_seq = events[-1].seq + 1
             # Drop a torn trailing line so the continuation starts at a
             # clean event boundary.
-            self._truncate_to(events)
+            self._truncate_to(intact)
         self._next_seq = next_seq
         self._file = open(self.path, "a", encoding="utf-8")
 
-    def _truncate_to(self, events: list[JournalEvent]) -> None:
-        intact = "".join(_event_line(e.seq, e.kind, e.payload) for e in events)
-        raw = self.path.read_text(encoding="utf-8")
-        if raw != intact:
-            # Rewrite only the intact prefix.  (Cheap: journals are
-            # small, and this runs once per resume.)
-            self.path.write_text(intact, encoding="utf-8")
+    def _truncate_to(self, intact: int) -> None:
+        """Cut the file to its first ``intact`` bytes, newline-ended.
+
+        The intact lines stay byte for byte as they are: a journal
+        written by an older build may encode its events differently
+        (retired fields, say) from how this build would.
+        """
+        with open(self.path, "r+b") as handle:
+            if handle.seek(0, os.SEEK_END) > intact:
+                handle.truncate(intact)
+            if intact:
+                handle.seek(intact - 1)
+                if handle.read(1) != b"\n":
+                    # The crash cut the last intact event's newline.
+                    handle.seek(intact)
+                    handle.write(b"\n")
 
     # -- writing -------------------------------------------------------------------
 
@@ -98,21 +107,33 @@ class TuningJournal:
     @staticmethod
     def read(path: str | Path) -> list[JournalEvent]:
         """Decode all intact events; drop a torn trailing line."""
-        raw = Path(path).read_text(encoding="utf-8")
-        lines = raw.split("\n")
-        if lines and lines[-1] == "":
+        return TuningJournal.read_intact(path)[0]
+
+    @staticmethod
+    def read_intact(path: str | Path) -> tuple[list[JournalEvent], int]:
+        """All intact events, and the byte length of the intact prefix.
+
+        The prefix ends after the last intact event's newline.  A last
+        event whose JSON is complete but whose newline is missing is
+        intact, and the prefix then ends with the file.  The file has a
+        torn tail exactly when it is longer than the prefix.
+        """
+        data = Path(path).read_bytes()
+        lines = data.split(b"\n")
+        if lines and lines[-1] == b"":
             lines.pop()
         events: list[JournalEvent] = []
+        intact = 0
         for number, line in enumerate(lines):
             is_last = number == len(lines) - 1
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 event = JournalEvent(
                     seq=record["seq"],
                     kind=record["kind"],
                     payload=codec.decode(record["payload"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                 if is_last:
                     break
                 raise SessionError(
@@ -124,7 +145,8 @@ class TuningJournal:
                     f"(line {number + 1}: expected {len(events)}, got {event.seq})"
                 )
             events.append(event)
-        return events
+            intact = min(intact + len(line) + 1, len(data))
+        return events, intact
 
 
 def _event_line(seq: int, kind: str, payload: dict[str, Any]) -> str:

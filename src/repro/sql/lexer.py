@@ -179,32 +179,17 @@ class Lexer:
         return Token(TokenType.IDENT, self._text[start + 1 : close].lower(), start)
 
 
-#: Memoized token streams keyed by content hash of the SQL text.  The
-#: tuning pipeline lexes the same benchmark queries once per candidate
-#: configuration, per baseline, and per figure; token streams are
-#: immutable (frozen :class:`Token`), so sharing is safe.  Bounded so a
-#: pathological stream of distinct texts cannot grow it without bound.
-_TOKEN_CACHE: dict[bytes, tuple[Token, ...]] = {}
-_MAX_TOKEN_CACHE_ENTRIES = 4096
-
-
 def content_key(text: str) -> bytes:
-    """Stable content hash used as the lexer/parser memoization key."""
+    """Stable content hash of SQL text; the parser's memoization key."""
     return hashlib.sha256(text.encode()).digest()
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``, returning all tokens including the EOF sentinel.
 
-    Memoized per content hash: repeated tokenization of identical SQL is
-    O(1) plus one list copy.  The returned list is a fresh container, so
-    callers may mutate it without poisoning the cache.
+    Not memoized: its one caller in the pipeline,
+    :func:`~repro.sql.parser.parse_select`, memoizes whole parses by
+    :func:`content_key`, so it lexes each distinct text once.  The
+    returned list is a fresh container the caller may mutate.
     """
-    key = content_key(text)
-    cached = _TOKEN_CACHE.get(key)
-    if cached is None:
-        cached = tuple(Lexer(text).tokens())
-        if len(_TOKEN_CACHE) >= _MAX_TOKEN_CACHE_ENTRIES:
-            _TOKEN_CACHE.clear()
-        _TOKEN_CACHE[key] = cached
-    return list(cached)
+    return Lexer(text).tokens()

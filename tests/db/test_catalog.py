@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core.batch import BatchJob, run_job
 from repro.db.catalog import PAGE_SIZE, Catalog, Column, Table
 from repro.db.catalog_stats import catalog_stats
 from repro.errors import CatalogError
@@ -138,3 +139,13 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(tiny_catalog))
         assert "_catalog_stats" not in clone.__dict__
         assert clone.content_fingerprint() == tiny_catalog.content_fingerprint()
+
+    def test_catalog_pickle_drops_shared_caches(self, tiny_workload):
+        """A used catalog pickles to its schema: the caches engines
+        attach to it (analysis, plans, ...) stay behind."""
+        catalog = tiny_workload.catalog
+        run_job(BatchJob(workload=tiny_workload))
+        assert catalog.__dict__.get("_shared_caches"), "the tune cached nothing"
+        clone = pickle.loads(pickle.dumps(catalog))
+        assert "_shared_caches" not in clone.__dict__
+        assert clone.content_fingerprint() == catalog.content_fingerprint()

@@ -127,20 +127,22 @@ def _hold_until_cancelled(root, job_id, appends):
 
 
 class TestProcessCancellation:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_live_cancel_crosses_via_durable_marker(
-        self, tiny_workload, tmp_path
+        self, tiny_workload, tmp_path, executor
     ):
-        """The child polls the on-disk cancel marker, not parent memory.
+        """The job body polls the on-disk cancel marker, the only cancel
+        signal under either runner.
 
         The crash probe holds the job at its second journal append until
         the marker exists, so the job is still in flight when ``cancel``
-        lands; the parent writes the marker file, and the worker
-        *process* unwinds at its next journal append, leaving a
-        resumable journal behind.
+        lands; the server writes the marker file, and the body -- on a
+        worker thread or in a worker *process* -- unwinds at its next
+        journal append, leaving a resumable journal behind.
         """
         with make_server(
             tmp_path / "svc",
-            executor="process",
+            executor=executor,
             workload_resolver={"tiny": tiny_workload},
             crash_probe=functools.partial(
                 _hold_until_cancelled, str(tmp_path / "svc")
@@ -276,14 +278,18 @@ class TestRegistrySpecJobs:
         assert served["process"] == references
         assert served["thread"] == references
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the recording patch reaches pool workers through fork",
-    )
-    def test_second_job_runs_on_the_workers_workload(self, tmp_path, monkeypatch):
-        """No ``plan`` fetch repeats one the worker's first job sent:
-        the plans it made are still in the workload's catalog cache."""
+    @staticmethod
+    def plan_fetches_of_two_jobs(tmp_path, monkeypatch, executor):
+        """The ``plan`` fetch keys of two successive jobs on :data:`SPEC`,
+        run by a server whose process starts with an empty workload LRU
+        (forked pool workers copy the server's)."""
+        monkeypatch.setattr(
+            server_module,
+            "_worker_workloads",
+            server_module._WorkloadLRU(server_module._WORKER_WORKLOAD_SLOTS),
+        )
         log = tmp_path / "plan-fetches"
+        log.touch()
         original = ArtifactCache.fetch
 
         def recording(self, kind, material):
@@ -294,14 +300,37 @@ class TestRegistrySpecJobs:
 
         monkeypatch.setattr(ArtifactCache, "fetch", recording)
         with make_server(
-            tmp_path / "svc", executor="process", cache_dir=tmp_path / "cache"
+            tmp_path / "svc", executor=executor, cache_dir=tmp_path / "cache"
         ) as server:
             client = JobClient(server)
             server.result(client.submit(SPEC, options=job_options(0)), timeout=300.0)
             first = log.read_text(encoding="utf-8").split()
             server.result(client.submit(SPEC, options=job_options(1)), timeout=300.0)
             second = log.read_text(encoding="utf-8").split()[len(first):]
+        return first, second
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the recording patch reaches pool workers through fork",
+    )
+    def test_second_job_runs_on_the_workers_workload(self, tmp_path, monkeypatch):
+        """No ``plan`` fetch repeats one the worker's first job sent:
+        the plans it made are still in the workload's catalog cache."""
+        first, second = self.plan_fetches_of_two_jobs(
+            tmp_path, monkeypatch, "process"
+        )
         assert first, "the worker's first job should fetch its plans"
+        assert not set(second) & set(first)
+
+    def test_second_thread_job_runs_on_the_servers_workload(
+        self, tmp_path, monkeypatch
+    ):
+        """The thread runner resolves spec strings through the same LRU,
+        in the server's process: its second job re-fetches no plan."""
+        first, second = self.plan_fetches_of_two_jobs(
+            tmp_path, monkeypatch, "thread"
+        )
+        assert first, "the server's first job should fetch its plans"
         assert not set(second) & set(first)
 
     def test_process_crash_resumes_bit_exactly(self, tmp_path, no_rerun_guard):

@@ -224,6 +224,19 @@ class TestRetiredFields:
         resumed = recover(root, tiny_workload, job_id)
         assert fingerprint(resumed) == fingerprint(reference)
 
+    def test_resume_keeps_the_intact_lines_byte_for_byte(
+        self, tiny_workload, tmp_path, no_rerun_guard
+    ):
+        """Resume cuts only the torn tail: the intact lines, retired
+        fields and all, are not re-encoded."""
+        root, job_id = self.old_format_root(tmp_path, tiny_workload, self.RETIRED)
+        journal = root / "journals" / f"{job_id}.journal"
+        intact = journal.read_text().splitlines(keepends=True)[:-1]
+        assert all(line.endswith("\n") for line in intact)
+        recover(root, tiny_workload, job_id)
+        resumed = journal.read_text().splitlines(keepends=True)
+        assert resumed[: len(intact)] == intact
+
     def test_unknown_header_field_raises_session_error(
         self, tiny_workload, tmp_path
     ):

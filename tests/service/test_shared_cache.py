@@ -69,15 +69,18 @@ class TestSharedCache:
             "workloads never overlapped in the cache -- stress is vacuous"
         )
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_cross_tenant_disk_hits_across_restart(
-        self, service_root, tiny_workload, tmp_path
+        self, service_root, tiny_workload, tmp_path, executor
     ):
+        """Each job body returns its own cache-counter deltas, so the
+        tenant stats read the same under either runner."""
         cache_dir = tmp_path / "cache"
         options = job_options(2)
         reference = reference_result(tiny_workload, options=options)
 
         with make_server(
-            service_root / "a", cache_dir=cache_dir
+            service_root / "a", cache_dir=cache_dir, executor=executor
         ) as first_life:
             job_id = JobClient(first_life).submit(
                 tiny_workload, tenant="acme", options=options
@@ -88,7 +91,7 @@ class TestSharedCache:
         # A new server = a cold memory tier: the only way tenant
         # "globex" can hit is via the disk artifacts "acme" left behind.
         with make_server(
-            service_root / "b", cache_dir=cache_dir
+            service_root / "b", cache_dir=cache_dir, executor=executor
         ) as second_life:
             job_id = JobClient(second_life).submit(
                 tiny_workload, tenant="globex", options=options

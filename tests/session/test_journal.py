@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import Configuration
 from repro.errors import SessionError
-from repro.session import TuningJournal
+from repro.session import TuningJournal, inspect_journal
 
 
 class TestWriteRead:
@@ -61,6 +61,19 @@ class TestCrashTolerance:
         with pytest.raises(SessionError, match="corrupt journal line 2"):
             TuningJournal.read(path)
 
+    def test_undecodable_bytes_are_torn_at_the_end_and_corrupt_before(
+        self, tmp_path
+    ):
+        path = tmp_path / "run.journal"
+        self.write_events(path)
+        intact = path.read_bytes()
+        path.write_bytes(intact + b'{"seq": 3, "kind": "\xff')
+        assert [e.seq for e in TuningJournal.read(path)] == [0, 1, 2]
+        lines = intact.splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"\xff\n" + b"".join(lines[1:]))
+        with pytest.raises(SessionError, match="corrupt journal line 2"):
+            TuningJournal.read(path)
+
     def test_non_contiguous_sequence_raises(self, tmp_path):
         path = tmp_path / "run.journal"
         self.write_events(path)
@@ -92,6 +105,22 @@ class TestAppendMode:
         events = TuningJournal.read(path)
         assert [e.kind for e in events] == ["a", "b"]
         assert "torn" not in path.read_text()
+
+    def test_complete_last_event_without_newline_is_intact(self, tmp_path):
+        path = tmp_path / "run.journal"
+        with TuningJournal(path) as journal:
+            journal.append("a", {})
+            journal.append("b", {})
+        cut = path.read_bytes()[:-1]  # the crash took only the newline
+        path.write_bytes(cut)
+        events, intact = TuningJournal.read_intact(path)
+        assert [e.kind for e in events] == ["a", "b"]
+        assert intact == len(cut)
+        assert not inspect_journal(path).torn_tail
+        with TuningJournal(path, append=True) as journal:
+            assert journal.append("c", {}) == 2
+        assert path.read_bytes().startswith(cut + b"\n")
+        assert [e.kind for e in TuningJournal.read(path)] == ["a", "b", "c"]
 
     def test_append_to_fresh_path_starts_at_zero(self, tmp_path):
         path = tmp_path / "new.journal"
