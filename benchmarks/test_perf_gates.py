@@ -3,10 +3,12 @@
 Four fast paths must beat what they replace by a fixed factor, and must
 produce exactly what it produces:
 
-- the batched numpy planner (``engine.plan_many``) against a scalar
-  ``engine.explain`` loop over SF100 workloads: plans repr-equal node
-  for node, ``estimate_many`` repr-equal to an ``estimate_seconds``
-  loop, and ≥5x on workloads of ≥1000 queries;
+- the batched numpy planner (``engine.plan_many``) against the scalar
+  reference planner, an ``engine.explain`` loop under
+  ``tests.oracles.reference_mode()``, over SF100 workloads: plans
+  repr-equal node for node, ``estimate_many`` repr-equal to the
+  reference's ``estimate_seconds`` loop, and ≥5x on workloads of ≥1000
+  queries;
 - the segment-batched ``evaluate`` against the per-query reference loop
   (``tests.oracles.reference_mode()``): ``ConfigMeta`` and engine clock
   repr-equal, and ≥5x at 2000 queries;
@@ -103,19 +105,24 @@ def test_planning_speedup(benchmark, spec):
 
     def scalar_pass():
         engine._plan_cache.clear()
-        return [engine.explain(query) for query in queries]
+        with reference_mode():
+            return [engine.explain(query) for query in queries]
 
     def batched_pass():
         engine._plan_cache.clear()
         return engine.plan_many(queries)
 
-    reference_plans = scalar_pass()  # warms catalog stats + statics
-    batched_plans = batched_pass()
+    reference_plans = scalar_pass()
+    with reference_mode():  # served from the scalar plans just cached
+        reference_seconds = [
+            repr(engine.estimate_seconds(query)) for query in queries
+        ]
+    batched_plans = batched_pass()  # warms catalog stats + statics
     for query, ref, got in zip(queries, reference_plans, batched_plans):
         assert repr(ref) == repr(got), f"{spec}: plan of {query.name!r} diverged"
-    assert [repr(value) for value in engine.estimate_many(queries)] == [
-        repr(engine.estimate_seconds(query)) for query in queries
-    ]
+    assert [
+        repr(value) for value in engine.estimate_many(queries)
+    ] == reference_seconds
 
     reference_s, batched_s = interleaved_speedup(
         benchmark, scalar_pass, batched_pass, fast_per_reference=4

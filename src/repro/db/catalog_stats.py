@@ -1,8 +1,8 @@
 """Numpy statistics view over a :class:`Catalog` (vectorized planning).
 
 :class:`CatalogStats` flattens the catalog's per-table and per-column
-statistics into numpy arrays once, so the batched planner
-(``repro.db.planner_vec``) can cost whole workloads in array passes
+statistics into numpy arrays once, so the planner
+(``repro.db.planner``) can cost whole workloads in array passes
 instead of chasing ``dict``-of-``dataclass`` pointers per query.  It
 also hosts the per-query *statics* cache: everything about a query that
 depends only on (catalog, analyzed query) -- selectivities, join
@@ -20,10 +20,11 @@ Exactness notes (the same bit-transparency contract as
 - integer row/page/byte counts below 2**53 convert to float64 exactly;
 - ``depth`` (the B-tree descent estimate) involves ``math.log``, whose
   SIMD numpy counterpart rounds differently, so it is precomputed here
-  per table with CPython's libm -- the vectorized planner never calls a
-  numpy transcendental;
-- selectivity products are computed with the exact scalar loop the
-  reference planner uses (float multiplication is order-sensitive).
+  per table with CPython's libm -- the planner never calls a numpy
+  transcendental;
+- selectivity products are computed with the exact scalar loop of the
+  reference planner (``tests/oracles/planner.py``; float
+  multiplication is order-sensitive).
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from repro.db.catalog import Catalog
 from repro.db.indexes import Index
 from repro.sql.analyzer import JoinCondition, QueryInfo
 
-# Mirrors repro.db.planner._INDEX_FANOUT (imported there from here would
-# create a cycle; the property test asserts the two stay equal).
+#: Rows per B-tree leaf page, for index depth estimates.
 INDEX_FANOUT = 256
 
 #: Safety valve for the per-query statics cache.

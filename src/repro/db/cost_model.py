@@ -144,7 +144,7 @@ def deterministic_noise(*parts: object, amplitude: float = 0.03) -> float:
 # -- array-form kernels -------------------------------------------------------
 #
 # Batched counterparts of the scalar kernels above, used by the
-# vectorized planner (``repro.db.planner_vec``).  The discipline is
+# planner (``repro.db.planner``).  The discipline is
 # bit-transparency: every element of an array result must equal the
 # scalar kernel applied to that element, down to the last ulp.  Plain
 # float64 arithmetic (+ - * / min max) is elementwise IEEE-754 and

@@ -524,17 +524,8 @@ class DatabaseEngine(abc.ABC):
                     fresh[sql] = cached
             if unplanned:
                 env = self.runtime_env()
-                selectivity_cache = (
-                    shared_catalog_cache(self.catalog, "selectivity")
-                    if self.caches
-                    else None
-                )
                 planner = Planner(
-                    self.catalog,
-                    self._indexes,
-                    self.planner_costs(),
-                    env,
-                    selectivity_cache=selectivity_cache,
+                    self.catalog, self._indexes, self.planner_costs(), env
                 )
                 sqls = list(unplanned)
                 plans = planner.plan_many([unplanned[sql] for sql in sqls])

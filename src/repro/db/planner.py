@@ -1,8 +1,8 @@
 """Plan construction and cost evaluation for the simulated engines.
 
-Given a query's :class:`~repro.sql.analyzer.QueryInfo`, the catalog, the
-set of existing indexes, the configured :class:`PlannerCosts` and the
-true :class:`RuntimeEnv`, the planner
+Given analyzed queries (:class:`~repro.sql.analyzer.QueryInfo`), the
+catalog, the set of existing indexes, the configured
+:class:`PlannerCosts` and the true :class:`RuntimeEnv`, the planner
 
 1. chooses a scan method per table (sequential vs. index) using the
    *configured* constants,
@@ -17,6 +17,33 @@ true :class:`RuntimeEnv`, the planner
 Every node carries both its estimated cost (planner units, configured
 constants) and actual cost (planner units, true constants); the engine
 converts actual units to seconds.
+
+:meth:`Planner.plan_many` costs a batch of any size -- one query
+included -- in three passes:
+
+- **Phase A** flattens every (query, table) pair into arrays and costs
+  all sequential and index scan alternatives vectorized;
+- **Phase B** runs the greedy left-deep join ordering per query as a
+  tight scalar loop over precomputed :class:`QueryStatics` (sorted
+  join-condition adjacency with NDV, so no per-probe
+  ``sorted(..., key=str)`` / ``resolve_column`` work is left); the
+  join-operator cost expressions are written term for term with every
+  loop-invariant factor (operator cost knobs, the parallel speedup,
+  per-table depth/cache figures) hoisted out of the per-join path;
+- **Phase C** costs aggregation/sort/subquery post-processing for all
+  queries in one masked array pass.
+
+Bit-transparency contract: every ``ScanNode``/``JoinNode`` field, plan
+cost float, and output cardinality equals the scalar reference planner
+(``tests/oracles/planner.py``, one query at a time, one literal cost
+formula per step) bit for bit.  The "reference" helpers named in the
+comments below live there.  The float-operation *order* of the
+reference is reproduced expression by expression; numpy is used only
+for elementwise ``+ - * / min max where`` (IEEE-754-identical to
+CPython), while every transcendental (``log``, ``log2``, ``** 0.8``)
+goes through ``math`` exactly as the scalar code does (see
+``cost_model``'s array kernels and ``tests/db/test_planner_vectorized``
+for the enforcement).
 """
 
 from __future__ import annotations
@@ -24,25 +51,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.db.catalog import PAGE_SIZE, Catalog, Table
+import numpy as np
+
+from repro.db.catalog import PAGE_SIZE, Catalog
+from repro.db.catalog_stats import QueryStatics, catalog_stats
 from repro.db.cost_model import (
-    PlannerCosts,
-    RuntimeEnv,
     TRUE_CPU_INDEX_TUPLE,
     TRUE_CPU_OPERATOR,
     TRUE_CPU_TUPLE,
     TRUE_RANDOM_PAGE_FACTOR,
+    PlannerCosts,
+    RuntimeEnv,
     cache_hit_ratio,
+    cache_hit_ratio_array,
     parallel_speedup,
-    spill_passes,
+    parallel_speedup_array,
+    spill_passes_array,
 )
 from repro.db.indexes import Index
 from repro.sql.analyzer import JoinCondition, QueryInfo
 
-# Rows per B-tree leaf page, for index depth estimates.
-_INDEX_FANOUT = 256
-# Width in bytes contributed by each joined table to intermediate rows.
-_JOIN_ROW_WIDTH = 32
+#: Width in bytes contributed by each joined table to intermediate rows.
+JOIN_ROW_WIDTH = 32
+
 
 @dataclass(slots=True)
 class ScanNode:
@@ -106,8 +137,102 @@ class QueryPlan:
         return result
 
 
+#: Sentinel distinguishing "not memoized yet" from a memoized ``None``.
+_UNSET = object()
+
+
+def _connecting(
+    statics: QueryStatics, joined: set, new_table: str
+) -> tuple | None:
+    """First sorted condition connecting ``new_table`` to ``joined``.
+
+    Equivalent to the reference ``_connecting_condition``: a connecting
+    condition necessarily mentions ``new_table`` on one side, so walking
+    only that table's conditions (kept in global sorted order) visits
+    the same candidates in the same order.
+    """
+    conditions = statics.conditions
+    for position in statics.conditions_by_table.get(new_table, ()):
+        entry = conditions[position]
+        _, left_table, right_table, _ = entry
+        if left_table == new_table and right_table in joined:
+            return entry
+        if right_table == new_table and left_table in joined:
+            return entry
+    return None
+
+
+def _join_order(
+    statics: QueryStatics, scans: dict, depth: int
+) -> list[str]:
+    """Reference ``_join_order`` over the precomputed adjacency.
+
+    ``_connecting`` and the reference ``_join_cardinality`` are inlined
+    into the candidate loop (same expressions: ``rows * penalty`` with
+    penalty 1.0 / 1e6, ``max(1.0, outer * inner / ndv)`` with the NDV
+    precomputed) to keep this hot loop free of call overhead.
+    """
+    conditions = statics.conditions
+    by_table = statics.conditions_by_table
+    remaining = list(statics.tables)  # sorted, and stays sorted
+    start = remaining[0]
+    start_rows = scans[start].out_rows
+    for name in remaining[1:]:
+        rows = scans[name].out_rows
+        # min() by (out_rows, name): the name tiebreak never fires, the
+        # list is already name-sorted, so strict < on rows suffices.
+        if rows < start_rows:
+            start = name
+            start_rows = rows
+    order = [start]
+    remaining.remove(start)
+    joined = {start}
+    current_rows = start_rows
+
+    while remaining:
+        best_table: str | None = None
+        best_key = math.inf
+        best_rows = 0.0
+        candidates = remaining if len(remaining) <= depth else remaining[:depth]
+        for name in candidates:
+            entry = None
+            for position in by_table.get(name, ()):
+                candidate = conditions[position]
+                _, left_table, right_table, _ = candidate
+                if left_table == name:
+                    if right_table in joined:
+                        entry = candidate
+                        break
+                elif right_table == name and left_table in joined:
+                    entry = candidate
+                    break
+            inner_rows = scans[name].out_rows
+            if entry is None:
+                rows = current_rows * inner_rows
+                key = rows * 1e6
+            else:
+                rows = current_rows * inner_rows / entry[3]
+                if rows <= 1.0:
+                    rows = 1.0
+                key = rows * 1.0
+            if key < best_key:
+                best_key = key
+                best_table = name
+                best_rows = rows
+        assert best_table is not None
+        order.append(best_table)
+        current_rows = best_rows
+        joined.add(best_table)
+        remaining.remove(best_table)
+    return order
+
+
 class Planner:
-    """Builds and costs plans for one (catalog, config) context."""
+    """Builds and costs plans for one (catalog, configuration) context.
+
+    The context is all a plan depends on: the catalog, the indexes by
+    table, the configured planner costs and the true runtime env.
+    """
 
     def __init__(
         self,
@@ -115,590 +240,525 @@ class Planner:
         indexes: dict[tuple[str, tuple[str, ...]], Index],
         planner_costs: PlannerCosts,
         env: RuntimeEnv,
-        selectivity_cache: dict | None = None,
     ) -> None:
-        self._catalog = catalog
-        self._planner = planner_costs
-        self._env = env
-        # Optional cross-planner memo for per-predicate selectivities.
-        # Selectivity depends only on catalog statistics and the query's
-        # predicate list -- never on indexes or knobs -- so the engine
-        # shares one dict per catalog and keys fold in the catalog
-        # generation for invalidation on schema change.
-        self._selectivity_cache = selectivity_cache
-        self._indexes_by_table: dict[str, list[Index]] = {}
+        self.catalog = catalog
+        self.costs = planner_costs
+        self.env = env
+        self.indexes_by_table: dict[str, list[Index]] = {}
         for index in indexes.values():
-            self._indexes_by_table.setdefault(index.table, []).append(index)
-
-    # -- public API -----------------------------------------------------------
-
-    def plan(self, info: QueryInfo) -> QueryPlan:
-        """Build the full plan for an analyzed query."""
-        plan = QueryPlan()
-        if not info.tables:
-            plan.out_rows = 1.0
-            return plan
-
-        scans = {table: self._plan_scan(table, info) for table in sorted(info.tables)}
-        order = self._join_order(info, scans)
-
-        plan.scans.append(scans[order[0]])
-        current_rows = scans[order[0]].out_rows
-        joined: set[str] = {order[0]}
-        joined_width = _JOIN_ROW_WIDTH
-
-        for table in order[1:]:
-            scan = scans[table]
-            condition = self._connecting_condition(info, joined, table)
-            join, current_rows = self._plan_join(
-                current_rows, joined_width, scan, condition, info
-            )
-            if join.method == "nestloop" and join.index is not None:
-                # The inner relation is accessed through index probes;
-                # its standalone scan never runs.
-                scan = ScanNode(
-                    table=scan.table,
-                    method="probe",
-                    index=join.index,
-                    in_rows=scan.in_rows,
-                    out_rows=scan.out_rows,
-                    estimated_cost=0.0,
-                    actual_cost=0.0,
-                )
-            plan.scans.append(scan)
-            plan.joins.append(join)
-            joined.add(table)
-            joined_width += _JOIN_ROW_WIDTH
-
-        est_post, act_post, out_rows = self._plan_post(info, current_rows, joined_width)
-        plan.post_estimated_cost = est_post
-        plan.post_actual_cost = act_post
-        plan.out_rows = out_rows
-        return plan
+            self.indexes_by_table.setdefault(index.table, []).append(index)
 
     def plan_many(self, infos: list[QueryInfo]) -> list[QueryPlan]:
-        """Build plans for a batch of analyzed queries.
+        """Build the full plan of every analyzed query (module docstring)."""
 
-        Batches of two or more are costed in array passes by
-        ``repro.db.planner_vec``, bit-identical to calling :meth:`plan`
-        per query; a single query takes :meth:`plan`, since arrays only
-        pay off across queries.
-        """
-        if len(infos) > 1:
-            from repro.db.planner_vec import plan_many_vectorized
+        catalog = self.catalog
+        costs = self.costs
+        env = self.env
+        stats = catalog_stats(catalog)
+        statics = [stats.query_statics(catalog, info) for info in infos]
 
-            return plan_many_vectorized(self, infos)
-        return [self.plan(info) for info in infos]
+        plans = [QueryPlan() for _ in infos]
+        active: list[int] = []
+        for position, query_statics in enumerate(statics):
+            if query_statics.tables:
+                active.append(position)
+            else:
+                plans[position].out_rows = 1.0
+        if not active:
+            return plans
 
-    # -- scans ------------------------------------------------------------------
+        # ---- Phase A: scan costing over flattened (query, table) pairs ----------
+        pair_tid = np.concatenate([statics[qi].table_ids for qi in active])
+        pair_fc = np.concatenate([statics[qi].filter_count for qi in active])
+        pair_out = np.concatenate([statics[qi].out_rows for qi in active])
+        rows = stats.rows[pair_tid]
+        pages = stats.pages[pair_tid]
+        hit = cache_hit_ratio_array(env, stats.size_bytes)[pair_tid]
 
-    def _plan_scan(self, table_name: str, info: QueryInfo) -> ScanNode:
-        table = self._catalog.table(table_name)
-        selectivity = self._table_selectivity(table, info)
-        out_rows = max(1.0, table.rows * selectivity)
-        filter_count = max(
-            1, sum(1 for predicate in info.filters if predicate.table == table_name)
+        # Reference ``_scan_seq_costs``, expression for expression.
+        est_seq = (
+            pages * costs.seq_page_cost
+            + rows * costs.cpu_tuple_cost
+            + rows * pair_fc * costs.cpu_operator_cost
         )
-
-        est_seq, act_seq = self._scan_seq_costs(table, filter_count)
-
-        best_index = self._best_filter_index(table_name, info)
-        if best_index is not None:
-            index, index_selectivity = best_index
-            est_idx, act_idx = self._scan_index_costs(
-                table, index, index_selectivity, filter_count
-            )
-            if est_idx < est_seq:
-                return ScanNode(
-                    table=table_name,
-                    method="index",
-                    index=index,
-                    in_rows=float(table.rows),
-                    out_rows=out_rows,
-                    estimated_cost=est_idx,
-                    actual_cost=act_idx,
-                )
-        return ScanNode(
-            table=table_name,
-            method="seq",
-            index=None,
-            in_rows=float(table.rows),
-            out_rows=out_rows,
-            estimated_cost=est_seq,
-            actual_cost=act_seq,
-        )
-
-    def _scan_seq_costs(self, table: Table, filter_count: int) -> tuple[float, float]:
-        planner = self._planner
-        pages = table.pages
-        rows = table.rows
-        estimated = (
-            pages * planner.seq_page_cost
-            + rows * planner.cpu_tuple_cost
-            + rows * filter_count * planner.cpu_operator_cost
-        )
-        hit = cache_hit_ratio(self._env, table.size_bytes)
-        actual = (
+        act_seq = (
             pages * (1.0 - hit)
             + rows * TRUE_CPU_TUPLE
-            + rows * filter_count * TRUE_CPU_OPERATOR
+            + rows * pair_fc * TRUE_CPU_OPERATOR
         )
-        workers = self._scan_workers(pages)
-        actual /= parallel_speedup(workers, self._env.hardware.cores)
-        return estimated, actual
+        scan_workers = np.where(pages < 1024, 1, max(1, env.parallel_workers))
+        act_seq = act_seq / parallel_speedup_array(scan_workers, env.hardware.cores)
 
-    def _scan_index_costs(
-        self,
-        table: Table,
-        index: Index,
-        selectivity: float,
-        filter_count: int,
-    ) -> tuple[float, float]:
-        planner = self._planner
-        rows = table.rows
-        fetched = max(1.0, rows * selectivity)
-        depth = max(1.0, math.log(max(rows, 2), _INDEX_FANOUT))
+        # Index alternatives: pick the best filter index per pair with the
+        # reference's first-wins strict-< rule, then cost the chosen subset
+        # vectorized (``_scan_index_costs``).
+        indexes_by_table = self.indexes_by_table
+        chosen: dict[int, tuple] = {}
+        if indexes_by_table:
+            pair_names: list[tuple[int, str]] = []
+            for qi in active:
+                pair_names.extend((qi, name) for name in statics[qi].tables)
+            idx_positions: list[int] = []
+            idx_objects: list = []
+            idx_sel: list[float] = []
+            idx_hit: list[float] = []
+            hit_memo: dict = {}
+            for position, (qi, name) in enumerate(pair_names):
+                candidates = indexes_by_table.get(name)
+                if not candidates:
+                    continue
+                column_sel = statics[qi].column_selectivity
+                best = None
+                for index in candidates:
+                    selectivity = column_sel.get((name, index.leading_column))
+                    if selectivity is None:
+                        continue
+                    if best is None or selectivity < best[1]:
+                        best = (index, selectivity)
+                if best is None:
+                    continue
+                index, selectivity = best
+                hit_value = hit_memo.get(index.key)
+                if hit_value is None:
+                    tid = stats.table_id[name]
+                    hit_value = cache_hit_ratio(
+                        env,
+                        stats.size_bytes_int[tid] + stats.index_size(catalog, index),
+                    )
+                    hit_memo[index.key] = hit_value
+                idx_positions.append(position)
+                idx_objects.append(index)
+                idx_sel.append(selectivity)
+                idx_hit.append(hit_value)
 
-        # The planner discounts random fetches by its *assumed* cache
-        # fraction, driven by effective_cache_size (the PostgreSQL
-        # behaviour that makes raising effective_cache_size encourage
-        # index plans).
-        assumed_hit = min(
-            0.95, planner.effective_cache_bytes / max(1, table.size_bytes)
-        )
-        estimated = (
-            depth * planner.random_page_cost
-            + fetched * planner.cpu_index_tuple_cost
-            + fetched * planner.random_page_cost * (1.0 - assumed_hit)
-            + fetched * planner.cpu_tuple_cost
-            + fetched * filter_count * planner.cpu_operator_cost
-        )
-        hit = cache_hit_ratio(
-            self._env, table.size_bytes + index.size_bytes(self._catalog)
-        )
-        io_factor = TRUE_RANDOM_PAGE_FACTOR / max(1.0, self._env.io_concurrency**0.5)
-        actual = (
-            depth * io_factor
-            + fetched * TRUE_CPU_INDEX_TUPLE
-            + fetched * io_factor * (1.0 - hit)
-            + fetched * TRUE_CPU_TUPLE
-            + fetched * filter_count * TRUE_CPU_OPERATOR
-        )
-        return estimated, actual
-
-    def _best_filter_index(
-        self, table_name: str, info: QueryInfo
-    ) -> tuple[Index, float] | None:
-        """Most selective (index, selectivity) usable by a filter predicate."""
-        candidates = self._indexes_by_table.get(table_name, ())
-        table = self._catalog.table(table_name)
-        best: tuple[Index, float] | None = None
-        for index in candidates:
-            selectivity = self._column_selectivity(table, index.leading_column, info)
-            if selectivity is None:
-                continue
-            if best is None or selectivity < best[1]:
-                best = (index, selectivity)
-        return best
-
-    def _predicate_signature(
-        self, table: Table, info: QueryInfo, column: str | None
-    ) -> tuple:
-        """Ordered key material for the predicates a memo entry covers.
-
-        Order is preserved: float multiplication is not associative, so
-        two predicate lists must share a memo entry only when they would
-        multiply in exactly the same sequence.
-        """
-        return tuple(
-            (predicate.column, predicate.op, predicate.selectivity)
-            for predicate in info.filters
-            if predicate.table == table.name
-            and (column is None or predicate.column == column)
-        )
-
-    def _column_selectivity(
-        self, table: Table, column: str, info: QueryInfo
-    ) -> float | None:
-        """Combined selectivity of predicates on one column, None if none."""
-        cache = self._selectivity_cache
-        if cache is not None:
-            key = (
-                "column",
-                self._catalog.generation,
-                table.name,
-                column,
-                self._predicate_signature(table, info, column),
-            )
-            cached = cache.get(key)
-            if cached is not None:
-                return cached[0]
-        product: float | None = None
-        for predicate in info.filters:
-            if predicate.table != table.name or predicate.column != column:
-                continue
-            selectivity = predicate.selectivity
-            if predicate.op == "=":
-                ndv = table.column(column).distinct_values(table.rows)
-                selectivity = 1.0 / ndv
-            product = selectivity if product is None else product * selectivity
-        if cache is not None:
-            cache[key] = (product,)
-        return product
-
-    def _table_selectivity(self, table: Table, info: QueryInfo) -> float:
-        cache = self._selectivity_cache
-        if cache is not None:
-            key = (
-                "table",
-                self._catalog.generation,
-                table.name,
-                self._predicate_signature(table, info, None),
-            )
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        product = 1.0
-        seen_eq: set[str] = set()
-        for predicate in info.filters:
-            if predicate.table != table.name:
-                continue
-            selectivity = predicate.selectivity
-            if predicate.op == "=" and predicate.column not in seen_eq:
-                ndv = table.column(predicate.column).distinct_values(table.rows)
-                selectivity = 1.0 / ndv
-                seen_eq.add(predicate.column)
-            product *= selectivity
-        product = max(product, 1e-9)
-        if cache is not None:
-            cache[key] = product
-        return product
-
-    def _scan_workers(self, pages: int) -> int:
-        # Parallel scans only pay off on big tables (PostgreSQL gates this
-        # on min_parallel_table_scan_size).
-        if pages < 1024:
-            return 1
-        return max(1, self._env.parallel_workers)
-
-    # -- join ordering -----------------------------------------------------------
-
-    def _join_order(self, info: QueryInfo, scans: dict[str, ScanNode]) -> list[str]:
-        """Greedy left-deep order by estimated intermediate cardinality.
-
-        With a full search depth the greedy chooser considers all
-        remaining tables at each step; with a truncated depth it only
-        looks at the first ``depth`` candidates in catalog order, which
-        degrades order quality the way a truncated DP search would.
-        """
-        tables = sorted(info.tables)
-        if len(tables) == 1:
-            return tables
-
-        remaining = set(tables)
-        # Tie-break equal cardinalities by name: ``min`` over a set would
-        # otherwise pick whichever tied table iterates first, which
-        # depends on PYTHONHASHSEED (small dimension tables all floor at
-        # out_rows == 1.0, so ties are common).
-        start = min(remaining, key=lambda name: (scans[name].out_rows, name))
-        order = [start]
-        remaining.discard(start)
-        joined = {start}
-        current_rows = scans[start].out_rows
-
-        depth = max(1, self._planner.join_search_depth)
-        while remaining:
-            candidates = sorted(remaining)[:depth]
-            best_table: str | None = None
-            best_rows = math.inf
-            for name in candidates:
-                condition = self._connecting_condition(info, joined, name)
-                rows = self._join_cardinality(
-                    current_rows, scans[name].out_rows, condition
+            if idx_positions:
+                sub = np.array(idx_positions, dtype=np.intp)
+                sub_tid = pair_tid[sub]
+                sub_rows = rows[sub]
+                sub_fc = pair_fc[sub]
+                sub_depth = stats.depth[sub_tid]
+                assumed_hit = np.minimum(
+                    0.95,
+                    costs.effective_cache_bytes
+                    / np.maximum(1.0, stats.size_bytes[sub_tid]),
                 )
-                # Prefer connected joins over cross products strongly.
-                penalty = 1.0 if condition is not None else 1e6
-                if rows * penalty < best_rows:
-                    best_rows = rows * penalty
-                    best_table = name
-            assert best_table is not None
-            order.append(best_table)
-            condition = self._connecting_condition(info, joined, best_table)
-            current_rows = self._join_cardinality(
-                current_rows, scans[best_table].out_rows, condition
-            )
-            joined.add(best_table)
-            remaining.discard(best_table)
-        return order
+                fetched = np.maximum(1.0, sub_rows * np.array(idx_sel))
+                est_idx = (
+                    sub_depth * costs.random_page_cost
+                    + fetched * costs.cpu_index_tuple_cost
+                    + fetched * costs.random_page_cost * (1.0 - assumed_hit)
+                    + fetched * costs.cpu_tuple_cost
+                    + fetched * sub_fc * costs.cpu_operator_cost
+                )
+                io_factor = TRUE_RANDOM_PAGE_FACTOR / max(
+                    1.0, env.io_concurrency**0.5
+                )
+                hit_idx = np.array(idx_hit, dtype=np.float64)
+                act_idx = (
+                    sub_depth * io_factor
+                    + fetched * TRUE_CPU_INDEX_TUPLE
+                    + fetched * io_factor * (1.0 - hit_idx)
+                    + fetched * TRUE_CPU_TUPLE
+                    + fetched * sub_fc * TRUE_CPU_OPERATOR
+                )
+                better = est_idx < est_seq[sub]
+                for k, position in enumerate(idx_positions):
+                    if better[k]:
+                        chosen[position] = (
+                            idx_objects[k],
+                            float(est_idx[k]),
+                            float(act_idx[k]),
+                        )
 
-    def _connecting_condition(
-        self, info: QueryInfo, joined: set[str], new_table: str
-    ) -> JoinCondition | None:
-        for condition in sorted(info.join_conditions, key=str):
-            left_table = condition.left.rsplit(".", 1)[0]
-            right_table = condition.right.rsplit(".", 1)[0]
-            if left_table == new_table and right_table in joined:
-                return condition
-            if right_table == new_table and left_table in joined:
-                return condition
-        return None
+        # ``tolist()`` converts whole arrays to Python floats in one C pass
+        # (exact values), instead of a ``float(arr[i])`` per node field.
+        rows_list = rows.tolist()
+        out_list = pair_out.tolist()
+        est_seq_list = est_seq.tolist()
+        act_seq_list = act_seq.tolist()
+        scans_by_query: dict[int, dict] = {}
+        position = 0
+        for qi in active:
+            scans: dict = {}
+            for name in statics[qi].tables:
+                alternative = chosen.get(position)
+                if alternative is not None:
+                    index, est_value, act_value = alternative
+                    scans[name] = ScanNode(
+                        table=name,
+                        method="index",
+                        index=index,
+                        in_rows=rows_list[position],
+                        out_rows=out_list[position],
+                        estimated_cost=est_value,
+                        actual_cost=act_value,
+                    )
+                else:
+                    scans[name] = ScanNode(
+                        table=name,
+                        method="seq",
+                        index=None,
+                        in_rows=rows_list[position],
+                        out_rows=out_list[position],
+                        estimated_cost=est_seq_list[position],
+                        actual_cost=act_seq_list[position],
+                    )
+                position += 1
+            scans_by_query[qi] = scans
 
-    def _join_cardinality(
-        self, left_rows: float, right_rows: float, condition: JoinCondition | None
-    ) -> float:
-        if condition is None:
-            return left_rows * right_rows
-        ndv = 1
-        for qualified in condition.columns:
-            try:
-                table, column = self._catalog.resolve_column(qualified)
-            except Exception:
-                continue
-            ndv = max(ndv, column.distinct_values(table.rows))
-        return max(1.0, left_rows * right_rows / ndv)
-
-    # -- join operators -----------------------------------------------------------
-
-    def _plan_join(
-        self,
-        outer_rows: float,
-        outer_width: int,
-        inner_scan: ScanNode,
-        condition: JoinCondition | None,
-        info: QueryInfo,
-    ) -> tuple[JoinNode, float]:
-        inner_rows = inner_scan.out_rows
-        out_rows = self._join_cardinality(outer_rows, inner_rows, condition)
-
-        if condition is None:
-            cpu = outer_rows * inner_rows * 1.0
-            node = JoinNode(
-                inner_table=inner_scan.table,
-                method="cross",
-                condition=None,
-                index=None,
-                out_rows=out_rows,
-                estimated_cost=cpu * self._planner.cpu_operator_cost,
-                actual_cost=cpu * TRUE_CPU_OPERATOR,
-            )
-            return node, out_rows
-
-        options: list[tuple[float, float, str, Index | None]] = []
-        if self._planner.enable_hashjoin:
-            est, act = self._hash_join_costs(
-                outer_rows, outer_width, inner_rows, out_rows
-            )
-            options.append((est, act, "hash", None))
-        if self._planner.enable_mergejoin:
-            est, act = self._merge_join_costs(
-                outer_rows, outer_width, inner_rows, out_rows
-            )
-            options.append((est, act, "merge", None))
-        if self._planner.enable_nestloop:
-            index = self._join_index(inner_scan.table, condition)
-            est, act = self._nestloop_costs(
-                outer_rows, inner_scan, index, out_rows
-            )
-            options.append((est, act, "nestloop", index))
-        if not options:
-            # All join methods disabled: PostgreSQL falls back to a
-            # (painful) nested loop regardless of the enable flag.
-            est, act = self._nestloop_costs(outer_rows, inner_scan, None, out_rows)
-            options.append((est, act, "nestloop", None))
-
-        # Index nested-loops replace the inner table's scan entirely, so
-        # the comparison must credit them with the avoided scan cost.
-        def comparison_key(option: tuple[float, float, str, Index | None]) -> float:
-            est_cost, _, method, index = option
-            if method == "nestloop" and index is not None:
-                return est_cost
-            return est_cost + inner_scan.estimated_cost
-
-        est, act, method, index = min(options, key=comparison_key)
-        node = JoinNode(
-            inner_table=inner_scan.table,
-            method=method,
-            condition=condition,
-            index=index,
-            out_rows=out_rows,
-            estimated_cost=est,
-            actual_cost=act,
+        # ---- Phase B: join ordering + operator choice per query -----------------
+        # The operator cost expressions below are the reference planner's
+        # ``_hash_join_costs`` / ``_merge_join_costs`` / ``_nestloop_costs``
+        # inlined term for term, with everything loop-invariant hoisted out:
+        # cost knobs, the (constant-argument) parallel speedup, and the
+        # per-table depth / size / cache figures.  Expression shape and
+        # evaluation order are preserved, so every float is bit-identical.
+        depth_limit = max(1, costs.join_search_depth)
+        cpu_op = costs.cpu_operator_cost
+        cpu_tup = costs.cpu_tuple_cost
+        cpu_idx_tup = costs.cpu_index_tuple_cost
+        seq_page = costs.seq_page_cost
+        random_page = costs.random_page_cost
+        eff_cache = costs.effective_cache_bytes
+        enable_hash = costs.enable_hashjoin
+        enable_merge = costs.enable_mergejoin
+        enable_nest = costs.enable_nestloop
+        sort_mem = env.sort_hash_mem_bytes
+        #: ``spill_passes``'s clamped memory budget, hoisted (the function
+        #: recomputes ``max(memory_bytes, 64 * 1024)`` per call).
+        spill_mem = max(sort_mem, 64 * 1024)
+        join_speedup = parallel_speedup(
+            max(1, env.parallel_workers), env.hardware.cores
         )
-        return node, out_rows
+        nl_io_factor = TRUE_RANDOM_PAGE_FACTOR / max(1.0, env.io_concurrency**0.5)
+        log2 = math.log2
+        table_id = stats.table_id
+        size_bytes_int = stats.size_bytes_int
+        depth_arr = stats.depth
+        inf = math.inf
 
-    def _hash_join_costs(
-        self,
-        outer_rows: float,
-        outer_width: int,
-        inner_rows: float,
-        out_rows: float,
-    ) -> tuple[float, float]:
-        planner = self._planner
-        build_rows = min(outer_rows, inner_rows)
-        probe_rows = max(outer_rows, inner_rows)
-        build_bytes = int(build_rows * _JOIN_ROW_WIDTH)
-        probe_bytes = int(probe_rows * outer_width)
+        #: per inner table: (depth, assumed_hit) for index nested loops.
+        nest_memo: dict[str, tuple[float, float]] = {}
+        #: per (inner table, index): true cache hit ratio.
+        nl_hit_memo: dict[tuple[str, object], float] = {}
+        #: per (inner table, condition): usable join index or None.
+        join_index_memo: dict[tuple[str, object], object] = {}
+        indexes_by_table_get = self.indexes_by_table.get
 
-        cpu_est = (
-            build_rows * (planner.cpu_operator_cost + planner.cpu_tuple_cost)
-            + probe_rows * planner.cpu_operator_cost
-            + out_rows * planner.cpu_tuple_cost
-        )
-        cpu_act = (
-            build_rows * (TRUE_CPU_OPERATOR + TRUE_CPU_TUPLE)
-            + probe_rows * TRUE_CPU_OPERATOR
-            + out_rows * TRUE_CPU_TUPLE
-        )
-        passes = spill_passes(build_bytes, self._env.sort_hash_mem_bytes)
-        spill_pages = (build_bytes + probe_bytes) / PAGE_SIZE
-        io_est = spill_pages * passes * planner.seq_page_cost
-        io_act = spill_pages * passes * 2.0  # write + re-read
-        workers = max(1, self._env.parallel_workers)
-        speedup = parallel_speedup(workers, self._env.hardware.cores)
-        return cpu_est + io_est, (cpu_act + io_act) / speedup
-
-    def _merge_join_costs(
-        self,
-        outer_rows: float,
-        outer_width: int,
-        inner_rows: float,
-        out_rows: float,
-    ) -> tuple[float, float]:
-        planner = self._planner
-
-        def sort_cost(rows: float, width: int, op_cost: float) -> float:
-            if rows < 2:
-                return 0.0
-            comparisons = rows * math.log2(rows)
-            passes = spill_passes(int(rows * width), self._env.sort_hash_mem_bytes)
-            io = rows * width / PAGE_SIZE * passes * 2.0
-            return comparisons * op_cost + io
-
-        est = (
-            sort_cost(outer_rows, outer_width, planner.cpu_operator_cost)
-            + sort_cost(inner_rows, _JOIN_ROW_WIDTH, planner.cpu_operator_cost)
-            + (outer_rows + inner_rows) * planner.cpu_operator_cost
-            + out_rows * planner.cpu_tuple_cost
-        )
-        act = (
-            sort_cost(outer_rows, outer_width, TRUE_CPU_OPERATOR)
-            + sort_cost(inner_rows, _JOIN_ROW_WIDTH, TRUE_CPU_OPERATOR)
-            + (outer_rows + inner_rows) * TRUE_CPU_OPERATOR
-            + out_rows * TRUE_CPU_TUPLE
-        )
-        workers = max(1, self._env.parallel_workers)
-        return est, act / parallel_speedup(workers, self._env.hardware.cores)
-
-    def _nestloop_costs(
-        self,
-        outer_rows: float,
-        inner_scan: ScanNode,
-        index: Index | None,
-        out_rows: float,
-    ) -> tuple[float, float]:
-        planner = self._planner
-        inner_table = self._catalog.table(inner_scan.table)
-        inner_rows = max(1.0, inner_scan.out_rows)
-        matches_per_probe = max(out_rows / max(outer_rows, 1.0), 1e-3)
-
-        if index is not None:
-            depth = max(1.0, math.log(max(inner_table.rows, 2), _INDEX_FANOUT))
-            assumed_hit = min(
-                0.95,
-                planner.effective_cache_bytes / max(1, inner_table.size_bytes),
+        post_inputs: list[tuple[int, float, int]] = []
+        for qi in active:
+            query_statics = statics[qi]
+            scans = scans_by_query[qi]
+            plan = plans[qi]
+            tables = query_statics.tables
+            order = (
+                list(tables)
+                if len(tables) == 1
+                else _join_order(query_statics, scans, depth_limit)
             )
-            per_probe_est = (
-                depth * planner.cpu_index_tuple_cost
-                + planner.random_page_cost * (1.0 - assumed_hit)
-                + matches_per_probe * planner.cpu_tuple_cost
-            )
-            hit = cache_hit_ratio(
-                self._env,
-                inner_table.size_bytes + index.size_bytes(self._catalog),
-            )
-            io_factor = TRUE_RANDOM_PAGE_FACTOR / max(
-                1.0, self._env.io_concurrency**0.5
-            )
-            per_probe_act = (
-                depth * TRUE_CPU_INDEX_TUPLE
-                + io_factor * (1.0 - hit)
-                + matches_per_probe * TRUE_CPU_TUPLE
-            )
-            # Output tuples are accounted inside the per-probe match term.
-            est = outer_rows * per_probe_est
-            act = outer_rows * per_probe_act
-            return est, act
 
-        # No usable index: rescan the inner relation per outer row.
-        est = (
-            outer_rows * inner_rows * planner.cpu_operator_cost
-            + out_rows * planner.cpu_tuple_cost
+            plan_scans = plan.scans
+            plan_joins = plan.joins
+            plan_scans.append(scans[order[0]])
+            current_rows = scans[order[0]].out_rows
+            joined = {order[0]}
+            joined_width = JOIN_ROW_WIDTH
+
+            for name in order[1:]:
+                scan = scans[name]
+                entry = _connecting(query_statics, joined, name)
+                inner_rows = scan.out_rows
+                # Reference ``_join_cardinality`` (``max(1.0, outer*inner/ndv)``).
+                if entry is None:
+                    out_rows = current_rows * inner_rows
+                else:
+                    out_rows = current_rows * inner_rows / entry[3]
+                    if out_rows <= 1.0:
+                        out_rows = 1.0
+
+                if entry is None:
+                    cpu = current_rows * inner_rows * 1.0
+                    join = JoinNode(
+                        inner_table=name,
+                        method="cross",
+                        condition=None,
+                        index=None,
+                        out_rows=out_rows,
+                        estimated_cost=cpu * cpu_op,
+                        actual_cost=cpu * TRUE_CPU_OPERATOR,
+                    )
+                else:
+                    condition = entry[0]
+                    inner_scan_cost = scan.estimated_cost
+                    best_key = inf
+                    best_est = best_act = 0.0
+                    best_method: str | None = None
+                    best_index = None
+
+                    if enable_hash:
+                        # Reference ``_hash_join_costs``.
+                        if current_rows < inner_rows:
+                            build_rows, probe_rows = current_rows, inner_rows
+                        else:
+                            build_rows, probe_rows = inner_rows, current_rows
+                        build_bytes = int(build_rows * JOIN_ROW_WIDTH)
+                        probe_bytes = int(probe_rows * joined_width)
+                        cpu_est = (
+                            build_rows * (cpu_op + cpu_tup)
+                            + probe_rows * cpu_op
+                            + out_rows * cpu_tup
+                        )
+                        cpu_act = (
+                            build_rows * (TRUE_CPU_OPERATOR + TRUE_CPU_TUPLE)
+                            + probe_rows * TRUE_CPU_OPERATOR
+                            + out_rows * TRUE_CPU_TUPLE
+                        )
+                        if build_bytes <= spill_mem or build_bytes <= 0:
+                            passes = 0.0
+                        else:
+                            passes = 1.0 + log2(build_bytes / spill_mem) / 6.0
+                        spill_pages = (build_bytes + probe_bytes) / PAGE_SIZE
+                        est = cpu_est + spill_pages * passes * seq_page
+                        act = (
+                            cpu_act + spill_pages * passes * 2.0
+                        ) / join_speedup
+                        best_key = est + inner_scan_cost
+                        best_est, best_act = est, act
+                        best_method = "hash"
+
+                    if enable_merge:
+                        # Reference ``_merge_join_costs``; each ``sort_cost``
+                        # half shares its comparisons/io between est and act.
+                        if current_rows < 2:
+                            comp_outer = io_outer = 0.0
+                        else:
+                            comp_outer = current_rows * log2(current_rows)
+                            sort_bytes = int(current_rows * joined_width)
+                            if sort_bytes <= spill_mem or sort_bytes <= 0:
+                                outer_passes = 0.0
+                            else:
+                                outer_passes = (
+                                    1.0 + log2(sort_bytes / spill_mem) / 6.0
+                                )
+                            io_outer = (
+                                current_rows * joined_width / PAGE_SIZE
+                                * outer_passes * 2.0
+                            )
+                        if inner_rows < 2:
+                            comp_inner = io_inner = 0.0
+                        else:
+                            comp_inner = inner_rows * log2(inner_rows)
+                            sort_bytes = int(inner_rows * JOIN_ROW_WIDTH)
+                            if sort_bytes <= spill_mem or sort_bytes <= 0:
+                                inner_passes = 0.0
+                            else:
+                                inner_passes = (
+                                    1.0 + log2(sort_bytes / spill_mem) / 6.0
+                                )
+                            io_inner = (
+                                inner_rows * JOIN_ROW_WIDTH / PAGE_SIZE
+                                * inner_passes * 2.0
+                            )
+                        est = (
+                            (comp_outer * cpu_op + io_outer)
+                            + (comp_inner * cpu_op + io_inner)
+                            + (current_rows + inner_rows) * cpu_op
+                            + out_rows * cpu_tup
+                        )
+                        act = (
+                            (comp_outer * TRUE_CPU_OPERATOR + io_outer)
+                            + (comp_inner * TRUE_CPU_OPERATOR + io_inner)
+                            + (current_rows + inner_rows) * TRUE_CPU_OPERATOR
+                            + out_rows * TRUE_CPU_TUPLE
+                        ) / join_speedup
+                        key = est + inner_scan_cost
+                        if key < best_key:
+                            best_key = key
+                            best_est, best_act = est, act
+                            best_method = "merge"
+
+                    if enable_nest:
+                        # Reference ``_join_index``, memoized per
+                        # (inner table, condition).
+                        memo_key = (name, condition)
+                        index = join_index_memo.get(memo_key, _UNSET)
+                        if index is _UNSET:
+                            join_column = None
+                            for qualified in condition.columns:
+                                table, _, column = qualified.rpartition(".")
+                                if table == name:
+                                    join_column = column
+                            index = None
+                            if join_column is not None:
+                                for candidate in indexes_by_table_get(name, ()):
+                                    if candidate.leading_column == join_column:
+                                        index = candidate
+                                        break
+                            join_index_memo[memo_key] = index
+
+                        # Reference ``_nestloop_costs``.
+                        nl_inner_rows = max(1.0, inner_rows)
+                        matches_per_probe = max(
+                            out_rows / max(current_rows, 1.0), 1e-3
+                        )
+                        if index is not None:
+                            parts = nest_memo.get(name)
+                            if parts is None:
+                                tid = table_id[name]
+                                size = size_bytes_int[tid]
+                                parts = (
+                                    float(depth_arr[tid]),
+                                    min(0.95, eff_cache / max(1, size)),
+                                )
+                                nest_memo[name] = parts
+                            nl_depth, assumed_hit = parts
+                            hit_key = (name, index.key)
+                            hit = nl_hit_memo.get(hit_key)
+                            if hit is None:
+                                tid = table_id[name]
+                                hit = cache_hit_ratio(
+                                    env,
+                                    size_bytes_int[tid]
+                                    + stats.index_size(catalog, index),
+                                )
+                                nl_hit_memo[hit_key] = hit
+                            per_probe_est = (
+                                nl_depth * cpu_idx_tup
+                                + random_page * (1.0 - assumed_hit)
+                                + matches_per_probe * cpu_tup
+                            )
+                            per_probe_act = (
+                                nl_depth * TRUE_CPU_INDEX_TUPLE
+                                + nl_io_factor * (1.0 - hit)
+                                + matches_per_probe * TRUE_CPU_TUPLE
+                            )
+                            est = current_rows * per_probe_est
+                            act = current_rows * per_probe_act
+                            key = est
+                        else:
+                            est = (
+                                current_rows * nl_inner_rows * cpu_op
+                                + out_rows * cpu_tup
+                            )
+                            act = (
+                                current_rows * nl_inner_rows * TRUE_CPU_OPERATOR
+                                + out_rows * TRUE_CPU_TUPLE
+                            )
+                            key = est + inner_scan_cost
+                        if key < best_key:
+                            best_key = key
+                            best_est, best_act = est, act
+                            best_method = "nestloop"
+                            best_index = index
+
+                    if best_method is None:
+                        # Every operator disabled: forced plain nested loop.
+                        nl_inner_rows = max(1.0, inner_rows)
+                        best_est = (
+                            current_rows * nl_inner_rows * cpu_op
+                            + out_rows * cpu_tup
+                        )
+                        best_act = (
+                            current_rows * nl_inner_rows * TRUE_CPU_OPERATOR
+                            + out_rows * TRUE_CPU_TUPLE
+                        )
+                        best_method = "nestloop"
+
+                    join = JoinNode(
+                        inner_table=name,
+                        method=best_method,
+                        condition=condition,
+                        index=best_index,
+                        out_rows=out_rows,
+                        estimated_cost=best_est,
+                        actual_cost=best_act,
+                    )
+
+                current_rows = out_rows
+                if join.method == "nestloop" and join.index is not None:
+                    scan = ScanNode(
+                        table=name,
+                        method="probe",
+                        index=join.index,
+                        in_rows=scan.in_rows,
+                        out_rows=scan.out_rows,
+                        estimated_cost=0.0,
+                        actual_cost=0.0,
+                    )
+                plan_scans.append(scan)
+                plan_joins.append(join)
+                joined.add(name)
+                joined_width += JOIN_ROW_WIDTH
+
+            post_inputs.append((qi, current_rows, joined_width))
+
+        # ---- Phase C: aggregation / sort / subquery costs, one array pass -------
+        in_rows = np.array([value for _, value, _ in post_inputs], dtype=np.float64)
+        width = np.array([value for _, _, value in post_inputs], dtype=np.float64)
+        group_mask = np.array(
+            [statics[qi].has_group for qi, _, _ in post_inputs], dtype=bool
         )
-        act = outer_rows * inner_rows * TRUE_CPU_OPERATOR + out_rows * TRUE_CPU_TUPLE
-        return est, act
+        agg_count = np.array(
+            [statics[qi].agg_count for qi, _, _ in post_inputs], dtype=np.float64
+        )
+        distinct = np.array(
+            [statics[qi].group_distinct for qi, _, _ in post_inputs],
+            dtype=np.float64,
+        )
+        order_mask = np.array(
+            [statics[qi].has_order for qi, _, _ in post_inputs], dtype=bool
+        )
+        subquery_mask = np.array(
+            [statics[qi].has_subquery for qi, _, _ in post_inputs], dtype=bool
+        )
+        count = in_rows.shape[0]
 
-    def _join_index(self, table_name: str, condition: JoinCondition) -> Index | None:
-        """An index on the inner table whose leading key is the join column."""
-        join_column: str | None = None
-        for qualified in condition.columns:
-            table, column = qualified.rsplit(".", 1)
-            if table == table_name:
-                join_column = column
-        if join_column is None:
-            return None
-        for index in self._indexes_by_table.get(table_name, ()):
-            if index.leading_column == join_column:
-                return index
-        return None
+        # Reference ``_plan_post``: the ``est += ...`` / ``act += ...``
+        # accumulation sequence is reproduced term for term; masked-off
+        # terms contribute an exact ``+ 0.0``.
+        est = np.zeros(count, dtype=np.float64)
+        act = np.zeros(count, dtype=np.float64)
 
-    # -- aggregation / sorting ------------------------------------------------------
+        groups = np.maximum(1.0, np.minimum(distinct, in_rows))
+        est = est + np.where(
+            group_mask, in_rows * costs.cpu_operator_cost * agg_count, 0.0
+        )
+        est = est + np.where(group_mask, groups * costs.cpu_tuple_cost, 0.0)
+        act = act + np.where(group_mask, in_rows * TRUE_CPU_OPERATOR * agg_count, 0.0)
+        act = act + np.where(group_mask, groups * TRUE_CPU_TUPLE, 0.0)
+        group_passes = spill_passes_array(np.trunc(groups * width), env.agg_mem_bytes)
+        group_spill = groups * width / PAGE_SIZE * group_passes * 2.0
+        est = est + np.where(group_mask, group_spill * costs.seq_page_cost, 0.0)
+        act = act + np.where(group_mask, group_spill, 0.0)
+        out_rows_arr = np.where(group_mask, groups, in_rows)
 
-    def _plan_post(
-        self, info: QueryInfo, in_rows: float, width: int
-    ) -> tuple[float, float, float]:
-        planner = self._planner
-        est = 0.0
-        act = 0.0
-        out_rows = in_rows
+        sort_mask = order_mask & (out_rows_arr > 1.0)
+        comparisons = np.zeros(count, dtype=np.float64)
+        sorting = np.nonzero(sort_mask)[0]
+        if sorting.size:
+            values = out_rows_arr[sorting].tolist()
+            comparisons[sorting] = [
+                value * math.log2(max(value, 2)) for value in values
+            ]
+        est = est + np.where(sort_mask, comparisons * costs.cpu_operator_cost, 0.0)
+        act = act + np.where(sort_mask, comparisons * TRUE_CPU_OPERATOR, 0.0)
+        sort_passes = spill_passes_array(
+            np.trunc(out_rows_arr * width), env.sort_hash_mem_bytes
+        )
+        sort_spill = out_rows_arr * width / PAGE_SIZE * sort_passes * 2.0
+        est = est + np.where(sort_mask, sort_spill * costs.seq_page_cost, 0.0)
+        act = act + np.where(sort_mask, sort_spill, 0.0)
 
-        if info.group_by_columns or info.aggregates:
-            groups = self._group_count(info, in_rows)
-            agg_count = max(1, len(info.aggregates))
-            est += in_rows * planner.cpu_operator_cost * agg_count
-            est += groups * planner.cpu_tuple_cost
-            act += in_rows * TRUE_CPU_OPERATOR * agg_count
-            act += groups * TRUE_CPU_TUPLE
-            passes = spill_passes(int(groups * width), self._env.agg_mem_bytes)
-            spill_io = groups * width / PAGE_SIZE * passes * 2.0
-            est += spill_io * planner.seq_page_cost
-            act += spill_io
-            out_rows = groups
+        est = est + np.where(subquery_mask, in_rows * costs.cpu_operator_cost, 0.0)
+        act = act + np.where(subquery_mask, in_rows * TRUE_CPU_OPERATOR, 0.0)
 
-        if info.order_by_columns and out_rows > 1:
-            comparisons = out_rows * math.log2(max(out_rows, 2))
-            est += comparisons * planner.cpu_operator_cost
-            act += comparisons * TRUE_CPU_OPERATOR
-            passes = spill_passes(int(out_rows * width), self._env.sort_hash_mem_bytes)
-            spill_io = out_rows * width / PAGE_SIZE * passes * 2.0
-            est += spill_io * planner.seq_page_cost
-            act += spill_io
-
-        if info.has_subquery:
-            # Decorrelated subqueries add one extra pass over the driving
-            # relation's output in this simplified model.
-            est += in_rows * planner.cpu_operator_cost
-            act += in_rows * TRUE_CPU_OPERATOR
-
-        return est, act, max(out_rows, 1.0)
-
-    def _group_count(self, info: QueryInfo, in_rows: float) -> float:
-        if not info.group_by_columns:
-            return 1.0
-        distinct = 1.0
-        for qualified in sorted(info.group_by_columns):
-            try:
-                table, column = self._catalog.resolve_column(qualified)
-            except Exception:
-                continue
-            distinct *= min(column.distinct_values(table.rows), 1000)
-        return max(1.0, min(distinct, in_rows))
+        final_rows = np.maximum(out_rows_arr, 1.0)
+        est_list = est.tolist()
+        act_list = act.tolist()
+        final_list = final_rows.tolist()
+        for k, (qi, _, _) in enumerate(post_inputs):
+            plan = plans[qi]
+            plan.post_estimated_cost = est_list[k]
+            plan.post_actual_cost = act_list[k]
+            plan.out_rows = final_list[k]
+        return plans

@@ -1,14 +1,26 @@
-"""Planner behaviour tests against the tiny schema."""
+"""Planner behaviour tests against the tiny schema.
+
+Every plan checked here is also a single-query equivalence input: it
+must be repr-equal to the scalar reference planner's.
+"""
 
 import pytest
 
+from repro.db.cost_model import PlannerCosts
 from repro.db.indexes import Index
 from repro.db.planner import Planner
-from repro.db.cost_model import PlannerCosts
+from tests.oracles import plan_many_scalar, reference_mode
 
 
 def plan_for(engine, sql):
-    return engine.explain(sql)
+    """``engine.explain(sql)``, asserted repr-equal to the oracle's plan."""
+    engine._plan_cache.clear()
+    with reference_mode():
+        reference = engine.explain(sql)
+    engine._plan_cache.clear()
+    plan = engine.explain(sql)
+    assert repr(plan) == repr(reference)
+    return plan
 
 
 class TestScanChoice:
@@ -157,82 +169,6 @@ class TestEstimatedVsActualSeparation:
             PlannerCosts(join_search_depth=1),
             engine._runtime_env(),  # noqa: SLF001 - test introspection
         )
-        truncated = planner.plan(query.info).actual_cost
-        assert truncated >= full
-
-
-class TestSelectivityMemoization:
-    """The shared selectivity memo is transparent and invalidates correctly."""
-
-    def plan_with_cache(self, engine, sql, cache):
-        info = engine.analyze_query(sql)
-        planner = Planner(
-            engine.catalog,
-            engine._indexes,  # noqa: SLF001 - test introspection
-            engine.planner_costs(),
-            engine._runtime_env(),  # noqa: SLF001 - test introspection
-            selectivity_cache=cache,
-        )
-        return planner.plan(info)
-
-    def test_memoized_plan_matches_unmemoized(self, pg_engine):
-        sql = (
-            "SELECT count(*) FROM events "
-            "WHERE events.kind = 'x' AND events.payload = 'y'"
-        )
-        cache: dict = {}
-        cold = self.plan_with_cache(pg_engine, sql, cache)
-        assert cache  # the memo was actually populated
-        warm = self.plan_with_cache(pg_engine, sql, cache)
-        plain = self.plan_with_cache(pg_engine, sql, None)
-        assert cold.actual_cost == warm.actual_cost == plain.actual_cost
-        assert cold.estimated_cost == warm.estimated_cost == plain.estimated_cost
-        assert [scan.out_rows for scan in cold.scans] == [
-            scan.out_rows for scan in warm.scans
-        ]
-
-    def test_catalog_mutation_invalidates_memo(self, pg_engine):
-        from repro.db.catalog import Column
-
-        catalog = pg_engine.catalog
-        sql = "SELECT count(*) FROM events WHERE events.kind = 'x'"
-        cache: dict = {}
-        before = self.plan_with_cache(pg_engine, sql, cache)
-        generation = catalog.generation
-
-        # Schema mutation bumps the generation, so stale entries can
-        # never satisfy a lookup made after the change.
-        catalog.add_column("events", Column("extra", 8, 10))
-        assert catalog.generation > generation
-        after = self.plan_with_cache(pg_engine, sql, cache)
-        # Two generations coexist in the memo: nothing was overwritten,
-        # the new generation simply keys fresh entries.
-        generations = {key[1] for key in cache}
-        assert generations == {generation, catalog.generation}
-        assert after.scans[0].out_rows == before.scans[0].out_rows
-
-    def test_knob_and_index_changes_reuse_memo_safely(self, pg_engine):
-        sql = "SELECT count(*) FROM events WHERE events.payload = 'x'"
-        cache: dict = {}
-        seq_plan = self.plan_with_cache(pg_engine, sql, cache)
-        entries = dict(cache)
-
-        # Selectivity is independent of knobs and physical design, so
-        # the memo is shared across them -- and the plan still responds
-        # to both (an index flips the scan method here).
-        pg_engine.set_knob("random_page_cost", 1.1)
-        pg_engine.create_index(Index("events", ("payload",)))
-        index_plan = self.plan_with_cache(pg_engine, sql, cache)
-        assert entries == {
-            key: value for key, value in cache.items() if key in entries
-        }
-        assert seq_plan.scans[0].method == "seq"
-        assert index_plan.scans[0].method == "index"
-
-    def test_engine_populates_shared_selectivity_cache(self, pg_engine):
-        from repro.db.engine import shared_catalog_cache
-
-        pg_engine.estimate_seconds(
-            "SELECT count(*) FROM events WHERE events.kind = 'x'"
-        )
-        assert shared_catalog_cache(pg_engine.catalog, "selectivity")
+        truncated = planner.plan_many([query.info])[0]
+        assert repr(truncated) == repr(plan_many_scalar(planner, [query.info])[0])
+        assert truncated.actual_cost >= full

@@ -1,12 +1,11 @@
 """Vectorized planner equivalence properties.
 
-The contract under test: ``Planner.plan_many`` through
-``repro.db.planner_vec`` produces plan-for-plan identical trees and
-bit-identical cost floats to the scalar planner (``Planner.plan`` per
-query, the ``tests.oracles`` reference), over randomized generated
-workloads, across
-PYTHONHASHSEED subprocesses, through a full configuration selection,
-and under catalog mutation (generation-counter invalidation of ``CatalogStats``).
+The contract under test: ``Planner.plan_many``, the array planner,
+produces plan-for-plan identical trees and bit-identical cost floats to
+the scalar planner (``tests.oracles.plan_many_scalar``, one query at a
+time), over randomized generated workloads, across PYTHONHASHSEED
+subprocesses, through a full configuration selection, and under catalog
+mutation (generation-counter invalidation of ``CatalogStats``).
 
 The unmarked tests are the fast smoke subset that tier-1 always runs;
 the randomized sweeps and subprocess matrices carry ``slow``.
@@ -22,8 +21,6 @@ import numpy as np
 import pytest
 
 import repro
-import repro.db.planner as planner_module
-from repro.db import catalog_stats as catalog_stats_module
 from repro.db.catalog import Column
 from repro.db.catalog_stats import catalog_stats
 from repro.db.cost_model import (
@@ -42,13 +39,15 @@ from repro.db.cost_model import (
 from repro.db.hardware import HardwareSpec
 from repro.db.indexes import Index
 from repro.db.mysql import MySQLEngine
-from repro.db.planner_vec import plan_many_vectorized
+from repro.db.planner import Planner
 from repro.db.postgres import PostgresEngine
 from repro.sql.analyzer import QueryInfo
 from repro.workloads.generator import synthetic_workload
-from tests.oracles import reference_mode
+from tests.oracles import plan_many_scalar, reference_mode
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+#: The repository root, where ``tests.oracles`` imports from.
+_REPO_ROOT = str(Path(__file__).resolve().parents[2])
 
 
 def plan_fingerprint(plan):
@@ -169,11 +168,6 @@ class TestArrayKernels:
         expected = [deterministic_noise(*parts) for parts in draws]
         assert result.tolist() == expected
 
-    def test_index_fanout_constant_in_sync(self):
-        # catalog_stats duplicates the planner constant to avoid an
-        # import cycle; they must never drift apart.
-        assert catalog_stats_module.INDEX_FANOUT == planner_module._INDEX_FANOUT
-
 
 class TestVectorizedSmoke:
     """Fast tier-1 coverage of the batched path end to end."""
@@ -201,15 +195,13 @@ class TestVectorizedSmoke:
         ]
 
     def test_tableless_queries_plan_to_constants(self, tiny_catalog):
-        from repro.db.planner import Planner
-
         engine = PostgresEngine(tiny_catalog)
         planner = Planner(
             tiny_catalog, {}, engine.planner_costs(), engine.runtime_env()
         )
         infos = [QueryInfo(), QueryInfo(tables={"users"})]
-        vectorized = plan_many_vectorized(planner, infos)
-        reference = [planner.plan(info) for info in infos]
+        vectorized = planner.plan_many(infos)
+        reference = plan_many_scalar(planner, infos)
         assert [plan_fingerprint(plan) for plan in vectorized] == [
             plan_fingerprint(plan) for plan in reference
         ]
@@ -312,23 +304,29 @@ class TestRandomizedProperty:
                 assert_vectorized_matches_reference(engine, workload.queries)
 
 
-_HASH_SEED_SCRIPT = (
-    "from repro.db.postgres import PostgresEngine;"
-    "from repro.db.hardware import HardwareSpec;"
-    "from repro.db.indexes import Index;"
-    "from repro.workloads.generator import synthetic_workload;"
-    "w = synthetic_workload(seed=5, queries=60, scale=3.0);"
-    "e = PostgresEngine(w.catalog, HardwareSpec(memory_gb=61.0, cores=8));"
-    "[e.create_index(Index(table=t.name, columns=(list(t.columns)[0],)))"
-    " for t in w.catalog.tables];"
-    "print('|'.join(repr(s) for s in {estimates}))"
-)
+_HASH_SEED_SCRIPT = """\
+from contextlib import nullcontext
+from repro.db.hardware import HardwareSpec
+from repro.db.indexes import Index
+from repro.db.postgres import PostgresEngine
+from repro.workloads.generator import synthetic_workload
+from tests.oracles import reference_mode
+w = synthetic_workload(seed=5, queries=60, scale=3.0)
+e = PostgresEngine(w.catalog, HardwareSpec(memory_gb=61.0, cores=8))
+for t in w.catalog.tables:
+    e.create_index(Index(table=t.name, columns=(list(t.columns)[0],)))
+with {context}:
+    estimates = {estimates}
+print('|'.join(repr(s) for s in estimates))
+"""
 
-#: The batched estimate, and the per-query one (single-query planning
-#: takes the scalar ``Planner.plan``).
-_ESTIMATES = (
-    "e.estimate_many(w.queries)",
-    "[e.estimate_seconds(q) for q in w.queries]",
+#: ``(context, estimates)`` per leg: the batched estimate, the per-query
+#: one (each query a single-query array ``plan_many``), and the per-query
+#: one on the scalar planner of ``tests.oracles``.
+_LEGS = (
+    ("nullcontext()", "e.estimate_many(w.queries)"),
+    ("nullcontext()", "[e.estimate_seconds(q) for q in w.queries]"),
+    ("reference_mode()", "[e.estimate_seconds(q) for q in w.queries]"),
 )
 
 
@@ -338,7 +336,7 @@ class TestCrossProcess:
 
     @staticmethod
     def _run(script: str, hash_seed: str) -> str:
-        python_path = _SRC_DIR
+        python_path = _SRC_DIR + os.pathsep + _REPO_ROOT
         if os.environ.get("PYTHONPATH"):
             python_path += os.pathsep + os.environ["PYTHONPATH"]
         result = subprocess.run(
@@ -356,11 +354,14 @@ class TestCrossProcess:
 
     def test_vectorized_matches_reference_across_hash_seeds(self):
         outputs = {
-            self._run(_HASH_SEED_SCRIPT.format(estimates=estimates), hash_seed)
-            for estimates in _ESTIMATES
+            self._run(
+                _HASH_SEED_SCRIPT.format(context=context, estimates=estimates),
+                hash_seed,
+            )
+            for context, estimates in _LEGS
             for hash_seed in ("1", "2")
         }
-        # All four (path, hash seed) combinations print the same bits.
+        # All six (leg, hash seed) combinations print the same bits.
         assert len(outputs) == 1
 
 

@@ -6,7 +6,8 @@ the ``benchmarks/`` suite:
 
 - :mod:`.scheduler` -- Algorithm 4 over dict/frozenset states, and a
   brute-force order oracle;
-- :mod:`.planner` -- ``plan_many`` one query at a time;
+- :mod:`.planner` -- the scalar planner, ``plan_many`` one query at a
+  time;
 - :mod:`.evaluator` -- Algorithm 3 one query at a time;
 - :func:`reference_mode` -- runs whole tunes on all three.
 """
@@ -42,9 +43,10 @@ def reference_mode():
 
     ``ConfigurationEvaluator.evaluate`` becomes :func:`evaluate_scalar`,
     the evaluator's DP becomes :func:`compute_order_dp_reference`, every
-    ``Planner.plan_many`` batch is planned per query, and the persistent
-    artifact cache is off.  Memoization belongs to the engine: build it
-    with ``caches=False`` for an uncached reference.  The switch patches
+    ``Planner.plan_many`` batch is planned per query by the scalar
+    planner (:func:`plan_many_scalar`), and the persistent artifact
+    cache is off.  Memoization belongs to the engine: build it with
+    ``caches=False`` for an uncached reference.  The switch patches
     module and class attributes, so it is not thread-safe.
     """
     saved = (
