@@ -1,9 +1,11 @@
 """Perf-regression guards for the scheduler/evaluation hot path.
 
 Microbenchmarks the bitmask DP core at representative cluster counts
-(n = 8 / 11 / 13, the paper's §5.4 cap) on fixed randomized instances,
-plus the full ``tune()`` pipeline on TPC-H and JOB with the memoization
-layers on:
+(n = 8 / 11 / 13, the paper's §5.4 cap) on fixed randomized instances of
+two shapes -- sparse ones, and ones shaped like the cluster inputs of a
+JOB tune, whose marginal-cost table dominates the kernel -- plus the
+full ``tune()`` pipeline on TPC-H and JOB with the memoization layers
+on:
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_scheduler.py \
         -m slow --benchmark-json=bench.json
@@ -33,20 +35,27 @@ from tests.oracles import compute_order_dp_reference, reference_mode
 pytestmark = pytest.mark.slow
 
 
-def _instance(n_queries: int, seed: int = 99):
+def _instance(n_queries: int, seed: int = 99, shape: str = "sparse"):
+    """``sparse``: 1-5 of 2n indexes per query.  ``job``: 7-22 of 29-32
+    indexes per query, as the cluster inputs of JOB tunes have."""
     rng = random.Random(seed)
-    index_names = [f"i{k}" for k in range(2 * n_queries)]
+    if shape == "job":
+        n_indexes, per_query = rng.randint(29, 32), (7, 22)
+    else:
+        n_indexes, per_query = 2 * n_queries, (1, 5)
+    index_names = [f"i{k}" for k in range(n_indexes)]
     costs = {name: rng.uniform(0.1, 30.0) for name in index_names}
     index_map = {
-        f"q{q}": frozenset(rng.sample(index_names, rng.randint(1, 5)))
+        f"q{q}": frozenset(rng.sample(index_names, rng.randint(*per_query)))
         for q in range(n_queries)
     }
     return list(index_map), index_map, costs
 
 
+@pytest.mark.parametrize("shape", ["sparse", "job"])
 @pytest.mark.parametrize("n_queries", [8, 11, 13])
-def test_dp_bitmask(benchmark, n_queries):
-    queries, index_map, costs = _instance(n_queries)
+def test_dp_bitmask(benchmark, n_queries, shape):
+    queries, index_map, costs = _instance(n_queries, shape=shape)
     order = benchmark(compute_order_dp, queries, index_map, costs)
     assert order == compute_order_dp_reference(queries, index_map, costs)
 

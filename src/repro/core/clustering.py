@@ -6,6 +6,9 @@ query could use the index), clusters are formed with K-means under
 Euclidean distance, and the scheduler then orders *clusters* -- each
 labelled with the union of its members' indexes -- instead of single
 queries.  The input to the DP is strictly capped at 13.
+
+K-means as first written, one masked mean per center, is the test oracle
+``tests/oracles/clustering.py``; :func:`kmeans` returns its labels.
 """
 
 from __future__ import annotations
@@ -50,7 +53,12 @@ def index_vectors(
 def kmeans(
     points: np.ndarray, k: int, *, seed: int = 0, max_iterations: int = 50
 ) -> np.ndarray:
-    """Plain Lloyd's K-means with k-means++ seeding; returns labels."""
+    """Plain Lloyd's K-means with k-means++ seeding; returns labels.
+
+    Each iteration moves every center with members to their sum, taken
+    in row order as ``mean(axis=0)`` takes it for two or more columns,
+    over their count.  Binary index vectors have exact sums in any order.
+    """
     count = points.shape[0]
     if k <= 0:
         raise SchedulerError("k must be positive")
@@ -66,28 +74,30 @@ def kmeans(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for center_index in range(k):
-            members = points[labels == center_index]
-            if len(members):
-                centers[center_index] = members.mean(axis=0)
+        sizes = np.bincount(labels, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        filled = sizes > 0
+        centers[filled] = sums[filled] / sizes[filled, None]
     return labels
 
 
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """k-means++ seeding; ``closest`` is each point's squared distance to
+    its closest center so far."""
     count = points.shape[0]
-    centers = [points[rng.integers(count)]]
-    while len(centers) < k:
-        distances = np.min(
-            [np.sum((points - center) ** 2, axis=1) for center in centers], axis=0
-        )
-        total = distances.sum()
+    chosen = [rng.integers(count)]
+    closest = None
+    while len(chosen) < k:
+        latest = np.sum((points - points[chosen[-1]]) ** 2, axis=1)
+        closest = latest if closest is None else np.minimum(closest, latest)
+        total = closest.sum()
         if total <= 0:
             # All remaining points coincide with a center; pick arbitrarily.
-            centers.append(points[rng.integers(count)])
+            chosen.append(rng.integers(count))
             continue
-        probabilities = distances / total
-        centers.append(points[rng.choice(count, p=probabilities)])
-    return np.array(centers, dtype=float)
+        chosen.append(rng.choice(count, p=closest / total))
+    return np.array(points[chosen], dtype=float)
 
 
 def cluster_queries(

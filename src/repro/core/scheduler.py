@@ -14,10 +14,11 @@ integers over a canonical (str-sorted) index universe, DP state lives in
 flat arrays of size ``2^n`` indexed by subset mask, order reconstruction
 uses parent pointers instead of per-subset tuple copies, and marginal
 costs are memoized per ``(query, needed-mask)``.  When the index
-universe fits in 63 bits, numpy is available and ``n >= 9``, a hoisted
-kernel computes every mask's created-index set and every query's
-marginal cost once, then scores each subset layer as one matrix; below
-that size the scalar layer loop is faster.  An optional caller-owned
+universe fits in 63 bits, numpy is available and ``n >= 8``, a hoisted
+kernel builds every query's marginal cost over every prefix once, one
+masked add per (query, index bit), then scores each subset layer over
+its members' candidates in one array pass per member rank; below that
+size the scalar layer loop is faster.  An optional caller-owned
 ``memo`` keyed on the encoded input ``(n, qmasks, bit_costs)`` lets
 equal inputs share one solve.
 
@@ -53,7 +54,7 @@ _EPS = 1e-12
 
 #: Vectorize layers only when the subset count is worth the numpy
 #: call overhead.
-_VECTOR_MIN_QUERIES = 9
+_VECTOR_MIN_QUERIES = 8
 
 
 def marginal_index_cost(
@@ -246,71 +247,64 @@ def _dp_parents_vectorized(
 ) -> list[int]:
     """Numpy bitmask DP with the mask-invariant work hoisted out.
 
-    Neither ``created[mask]`` nor a query's marginal cost over a prefix
-    depends on ``dp_cost``, so both are computed once: ``z[i, rest]`` is
-    query ``i``'s cost given the indexes of ``rest`` (every ``rest``
-    without ``i``), accumulated bit by bit in ascending (canonical)
-    order from 0.0 exactly like the scalar core.  Each popcount layer is
-    then one ``n x L`` candidate matrix (appending ``i`` to
-    ``mask ^ bit_i``; ``inf`` where ``i`` is not in the mask).
+    No query's marginal cost over a prefix depends on ``dp_cost``, so
+    ``z[i, rest]`` (query ``i``'s cost given the indexes of ``rest``) is
+    built once.  Bit ``k`` of ``i`` is needed over ``rest`` exactly when
+    no query that owns ``k`` is in ``rest``, so each distinct owner set
+    gets one flag row over all masks, and each bit of ``i`` adds its
+    cost where its flag holds, in ascending (canonical) bit order from
+    0.0: the scalar core's sum, as a bit it skips adds nothing.  A bit
+    that only ``i`` owns needs no flag.  No layer reads row ``i`` over
+    the masks that hold ``i``.
 
-    The scalar core scans candidates in ascending ``i`` and takes one
-    only if it beats the best so far by more than ``_EPS``.  Where every
-    candidate either equals the column minimum or exceeds it by more
-    than ``_EPS`` (``c - _EPS > min``, the scan's own arithmetic), that
-    scan ends at the first minimum -- ``argmin`` -- so only the other
-    columns (near-ties, a non-finite minimum) run the scan itself.
+    Each popcount layer is scored over its members only, in ascending
+    ``i``, with the scalar core's scan: a candidate replaces the best so
+    far only if it is cheaper by more than ``_EPS``.
     """
     size = 1 << n
-    costs = _np.array(bit_costs, dtype=_np.float64)
+    masks, layers = _subset_tables(n)
 
-    # created[mask] = OR of member query masks; the masks in
-    # [2^i, 2^(i+1)) are those below 2^i with query i added.
-    created = _np.zeros(size, dtype=_np.int64)
+    owners = [0] * len(bit_costs)
     for i, qmask in enumerate(qmasks):
-        half = 1 << i
-        created[half : 2 * half] = created[:half] | qmask
+        remaining = qmask
+        while remaining:
+            low = remaining & -remaining
+            owners[low.bit_length() - 1] |= 1 << i
+            remaining ^= low
 
-    prefixes_without, layers = _subset_tables(n)
     z = _np.zeros((n, size), dtype=_np.float64)
+    free_of: dict = {}
     for i, qmask in enumerate(qmasks):
-        if not qmask:
-            continue
-        prefixes = prefixes_without[i]
-        needed = qmask & ~created[prefixes]
-        row = _np.zeros(len(prefixes), dtype=_np.float64)
+        row = z[i]
         remaining = qmask
         while remaining:
             low = remaining & -remaining
             bit = low.bit_length() - 1
-            row += costs[bit] * ((needed >> bit) & 1)
             remaining ^= low
-        z[i, prefixes] = row
+            owner_set = owners[bit]
+            if owner_set == 1 << i:
+                row += bit_costs[bit]
+                continue
+            flag = free_of.get(owner_set)
+            if flag is None:
+                flag = free_of[owner_set] = (masks & owner_set) == 0
+            _np.add(row, bit_costs[bit], out=row, where=flag)
 
+    z_flat = z.ravel()
     dp_cost = _np.zeros(size, dtype=_np.float64)
     parents = _np.full(size, -1, dtype=_np.int64)
-    rows = _np.arange(n)[:, None]
-    for layer, (layer_masks, rest) in enumerate(layers, start=1):
-        weight = float(n - layer + 1)
-        candidates = _np.where(
-            rest < layer_masks, dp_cost[rest] + z[rows, rest] * weight, _np.inf
-        )
-        best_cost = candidates.min(axis=0)
-        best_i = candidates.argmin(axis=0)
-        decided = (
-            (candidates == best_cost) | (candidates - _EPS > best_cost)
-        ).all(axis=0) & (best_cost < _np.inf)
-        if not decided.all():
-            columns = _np.flatnonzero(~decided)
-            scanned = candidates[:, columns]
-            scan_cost = _np.full(len(columns), _np.inf, dtype=_np.float64)
-            scan_i = _np.full(len(columns), -1, dtype=_np.int64)
-            for i in range(n):
-                improve = scanned[i] < scan_cost - _EPS
-                scan_cost = _np.where(improve, scanned[i], scan_cost)
-                scan_i[improve] = i
-            best_cost[columns] = scan_cost
-            best_i[columns] = scan_i
+    for layer, (layer_masks, members, prefixes, positions) in enumerate(
+        layers, start=1
+    ):
+        candidates = z_flat[positions]
+        candidates *= float(n - layer + 1)
+        candidates += dp_cost[prefixes]
+        best_cost = _np.full(len(layer_masks), _np.inf, dtype=_np.float64)
+        best_i = _np.full(len(layer_masks), -1, dtype=_np.int64)
+        for cost, member in zip(candidates, members):
+            improve = cost < best_cost - _EPS
+            _np.copyto(best_cost, cost, where=improve)
+            _np.copyto(best_i, member, where=improve)
         dp_cost[layer_masks] = best_cost
         parents[layer_masks] = best_i
     return parents.tolist()
@@ -320,24 +314,31 @@ def _dp_parents_vectorized(
 def _subset_tables(n: int) -> tuple:
     """Mask tables that depend on ``n`` alone, built once per size.
 
-    - ``prefixes_without[i]``: the masks that lack query ``i``, ascending;
-    - per popcount layer 1..n: its masks (ascending) and ``mask ^ bit_i``
-      in row ``i`` -- below the mask where ``i`` is a member (the prefix
-      it extends), above it where not.
+    - ``masks``: ``0 .. 2^n - 1``;
+    - per popcount layer ``p = 1..n`` with ``L`` masks: the masks
+      (ascending), and three ``p x L`` tables whose row ``j`` holds, per
+      mask, its ``j``-th smallest member ``i``, the prefix
+      ``mask ^ bit_i`` that ``i`` extends, and ``i * 2^n + prefix``, the
+      flat position of ``z[i, prefix]``.
     """
-    masks = _np.arange(1 << n, dtype=_np.int64)
-    popcount = _np.zeros(1 << n, dtype=_np.int64)
+    size = 1 << n
+    masks = _np.arange(size, dtype=_np.int64)
+    popcount = _np.zeros(size, dtype=_np.int64)
     for i in range(n):
         popcount += (masks >> i) & 1
-    prefixes_without = tuple(masks[(masks >> i) & 1 == 0] for i in range(n))
-    bits = (_np.int64(1) << _np.arange(n, dtype=_np.int64))[:, None]
+    queries = _np.arange(n, dtype=_np.int64)
     layers = []
     for layer in range(1, n + 1):
         layer_masks = masks[popcount == layer]
-        layers.append((layer_masks, layer_masks ^ bits))
-    for table in (*prefixes_without, *(a for pair in layers for a in pair)):
+        is_member = (layer_masks[:, None] >> queries) & 1
+        members = _np.ascontiguousarray(
+            _np.nonzero(is_member)[1].reshape(len(layer_masks), layer).T
+        )
+        prefixes = layer_masks ^ (_np.int64(1) << members)
+        layers.append((layer_masks, members, prefixes, members * size + prefixes))
+    for table in (masks, *(table for entry in layers for table in entry)):
         table.setflags(write=False)
-    return prefixes_without, tuple(layers)
+    return masks, tuple(layers)
 
 
 def greedy_order(

@@ -1,7 +1,7 @@
 """Numpy statistics view over a :class:`Catalog` (vectorized planning).
 
-:class:`CatalogStats` flattens the catalog's per-table and per-column
-statistics into numpy arrays once, so the planner
+:class:`CatalogStats` flattens the catalog's per-table statistics into
+numpy arrays once, so the planner
 (``repro.db.planner``) can cost whole workloads in array passes
 instead of chasing ``dict``-of-``dataclass`` pointers per query.  It
 also hosts the per-query *statics* cache: everything about a query that
@@ -57,12 +57,11 @@ class QueryStatics:
     tables: tuple[str, ...]
     #: Row ids of ``tables`` into the CatalogStats arrays.
     table_ids: np.ndarray
-    #: Combined filter selectivity per table (reference
-    #: ``_table_selectivity``, including the 1e-9 floor).
-    selectivity: np.ndarray
     #: ``max(1, #filters)`` per table, as float64.
     filter_count: np.ndarray
-    #: ``max(1.0, rows * selectivity)`` per table (scan output rows).
+    #: ``max(1.0, rows * selectivity)`` per table (scan output rows),
+    #: from the combined filter selectivity of reference
+    #: ``_table_selectivity``, including the 1e-9 floor.
     out_rows: np.ndarray
     #: Per-column combined filter selectivity (reference
     #: ``_column_selectivity``); absent key == no predicate == ``None``.
@@ -86,8 +85,7 @@ class CatalogStats:
     """Immutable numpy view of one catalog generation."""
 
     generation: int
-    #: Table names in catalog iteration order.
-    names: list[str]
+    #: Table name -> position in catalog iteration order.
     table_id: dict[str, int]
     #: Per-table arrays (float64; exact for counts < 2**53).
     rows: np.ndarray
@@ -99,11 +97,6 @@ class CatalogStats:
     #: Precomputed B-tree depth per table:
     #: ``max(1.0, math.log(max(rows, 2), INDEX_FANOUT))`` via libm.
     depth: np.ndarray
-    #: Flattened per-column stats: resolved NDV and the equality
-    #: selectivity ``1.0 / ndv``, addressed via ``column_id``.
-    column_id: dict[tuple[str, str], int]
-    column_ndv: np.ndarray
-    column_eq_selectivity: np.ndarray
     #: Memoized ``Index.size_bytes`` per index key (catalog-dependent).
     _index_sizes: dict[tuple[str, tuple[str, ...]], int] = field(
         default_factory=dict
@@ -120,8 +113,7 @@ class CatalogStats:
     @staticmethod
     def build(catalog: Catalog) -> "CatalogStats":
         tables = catalog.tables
-        names = [table.name for table in tables]
-        table_id = {name: position for position, name in enumerate(names)}
+        table_id = {table.name: position for position, table in enumerate(tables)}
         rows = np.array([table.rows for table in tables], dtype=np.float64)
         pages = np.array([table.pages for table in tables], dtype=np.float64)
         size_int = [table.size_bytes for table in tables]
@@ -133,26 +125,14 @@ class CatalogStats:
             ],
             dtype=np.float64,
         )
-        column_id: dict[tuple[str, str], int] = {}
-        ndv_list: list[int] = []
-        for table in tables:
-            for column in table.columns.values():
-                column_id[(table.name, column.name)] = len(ndv_list)
-                ndv_list.append(column.distinct_values(table.rows))
-        column_ndv = np.array(ndv_list, dtype=np.float64)
-        eq_selectivity = 1.0 / np.maximum(column_ndv, 1.0)
         return CatalogStats(
             generation=catalog.generation,
-            names=names,
             table_id=table_id,
             rows=rows,
             pages=pages,
             size_bytes=size,
             size_bytes_int=size_int,
             depth=depth,
-            column_id=column_id,
-            column_ndv=column_ndv,
-            column_eq_selectivity=eq_selectivity,
         )
 
     # -- lookups ---------------------------------------------------------------
@@ -236,8 +216,9 @@ class CatalogStats:
                 if col_product is not None:
                     column_selectivity[(name, column_name)] = col_product
 
-        sel_array = np.array(selectivity, dtype=np.float64)
-        out_rows = np.maximum(1.0, self.rows[table_ids] * sel_array)
+        out_rows = np.maximum(
+            1.0, self.rows[table_ids] * np.array(selectivity, dtype=np.float64)
+        )
 
         conditions: list[tuple[JoinCondition, str, str, int]] = []
         conditions_by_table: dict[str, list[int]] = {}
@@ -270,7 +251,6 @@ class CatalogStats:
         return QueryStatics(
             tables=tables,
             table_ids=table_ids,
-            selectivity=sel_array,
             filter_count=np.array(filter_count, dtype=np.float64),
             out_rows=out_rows,
             column_selectivity=column_selectivity,

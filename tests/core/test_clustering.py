@@ -12,6 +12,7 @@ from repro.core.clustering import (
 )
 from repro.core.scheduler import MAX_DP_INPUT
 from repro.errors import SchedulerError
+from tests.oracles import kmeans_reference
 
 
 class TestIndexVectors:
@@ -53,6 +54,64 @@ class TestKMeans:
         points = np.ones((6, 2))
         labels = kmeans(points, 2, seed=0)
         assert len(labels) == 6
+
+
+def _assert_labels_match_reference(points, k, seed):
+    labels = kmeans(points, k, seed=seed)
+    assert labels.tolist() == kmeans_reference(points, k, seed=seed).tolist()
+
+
+class TestKMeansMatchesReference:
+    """The one-pass center update and the running k-means++ minimum
+    against K-means as first written (``tests/oracles/clustering.py``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 32),
+        st.sampled_from([0.05, 0.2, 0.5, 0.8]),
+        st.integers(1, MAX_DP_INPUT),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_binary_points(self, rows, columns, density, k, seed):
+        """Index vectors, as ``cluster_queries`` builds them; few
+        columns or low density give duplicate rows, and k >= rows
+        returns before seeding."""
+        rng = np.random.default_rng(seed)
+        points = (rng.random((rows, columns)) < density).astype(float)
+        _assert_labels_match_reference(points, k, seed % 97)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 8),
+        st.integers(1, MAX_DP_INPUT),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_real_valued_points(self, rows, columns, k, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((rows, columns)) * rng.uniform(0.1, 100.0)
+        _assert_labels_match_reference(points, k, seed % 97)
+
+    @pytest.mark.parametrize("k", range(1, MAX_DP_INPUT + 1))
+    def test_every_cap_on_captured_shape(self, k):
+        """k = 1..13 over 33 distinct signatures of 32 indexes, the
+        largest K-means input captured from JOB tunes."""
+        rng = np.random.default_rng(k)
+        points = np.unique(rng.random((40, 32)) < 0.35, axis=0)[:33]
+        _assert_labels_match_reference(points.astype(float), k, k)
+
+    @pytest.mark.parametrize("k", [2, 5, MAX_DP_INPUT])
+    def test_all_equal_rows(self, k):
+        """Every squared distance is 0 after the first center, so
+        k-means++ takes its arbitrary-pick branch."""
+        points = np.tile([1.0, 0.0, 1.0], (k + 4, 1))
+        _assert_labels_match_reference(points, k, 3)
+
+    def test_duplicate_rows_and_k_at_least_rows(self):
+        points = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        for k in (1, 2, 3, 4, 9):
+            _assert_labels_match_reference(points, k, 0)
 
 
 class TestClusterQueries:

@@ -69,6 +69,28 @@ def _random_encoded_instance(rng: random.Random, n_queries: int, costs: str):
     return qmasks, bit_costs
 
 
+def _job_shaped_instance(rng: random.Random, n_queries: int, shape: str):
+    """An encoded DP input shaped like the cluster inputs of a JOB tune:
+    29-32 index bits, 7-22 per cluster.  ``shape`` adds a bit that one
+    cluster owns alone, a bit that every cluster owns, or a cluster that
+    needs no index."""
+    n_bits = rng.randint(29, 32)
+    bit_costs = [rng.uniform(0.1, 30.0) for _ in range(n_bits)]
+    qmasks = [
+        sum(1 << bit for bit in rng.sample(range(n_bits), rng.randint(7, 22)))
+        for _ in range(n_queries)
+    ]
+    bit = 1 << rng.randrange(n_bits)
+    if shape == "solo-bit":
+        qmasks = [qmask & ~bit for qmask in qmasks]
+        qmasks[rng.randrange(n_queries)] |= bit
+    elif shape == "shared-bit":
+        qmasks = [qmask | bit for qmask in qmasks]
+    elif shape == "empty-cluster":
+        qmasks[rng.randrange(n_queries)] = 0
+    return qmasks, bit_costs
+
+
 @st.composite
 def bitmask_instance(draw, max_queries=8):
     n_queries = draw(st.integers(min_value=1, max_value=max_queries))
@@ -130,7 +152,7 @@ class TestBitmaskMatchesReference:
 
 
 class TestScalarVectorizedAgreement:
-    @pytest.mark.parametrize("n_queries", [9, 10, 12])
+    @pytest.mark.parametrize("n_queries", [8, 9, 10, 12])
     def test_parents_bit_identical(self, n_queries):
         pytest.importorskip("numpy")
         rng = random.Random(7 * n_queries)
@@ -153,6 +175,19 @@ class TestScalarVectorizedAgreement:
         for _ in range(40):
             n_queries = rng.randint(9, MAX_DP_INPUT)
             qmasks, bit_costs = _random_encoded_instance(rng, n_queries, costs)
+            scalar = _dp_parents_scalar(n_queries, qmasks, bit_costs)
+            vectorized = _dp_parents_vectorized(n_queries, qmasks, bit_costs)
+            assert scalar == vectorized
+
+    @pytest.mark.parametrize(
+        "shape", ["plain", "solo-bit", "shared-bit", "empty-cluster"]
+    )
+    def test_parents_bit_identical_job_shaped(self, shape):
+        """Two n = 13 inputs and one of n = 9..12 per shape."""
+        pytest.importorskip("numpy")
+        rng = random.Random(f"job-{shape}")
+        for n_queries in (MAX_DP_INPUT, MAX_DP_INPUT, rng.randint(9, 12)):
+            qmasks, bit_costs = _job_shaped_instance(rng, n_queries, shape)
             scalar = _dp_parents_scalar(n_queries, qmasks, bit_costs)
             vectorized = _dp_parents_vectorized(n_queries, qmasks, bit_costs)
             assert scalar == vectorized

@@ -1,5 +1,7 @@
 """Index object and creation-cost tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.db.catalog import Catalog, Column
@@ -38,6 +40,29 @@ class TestIndexIdentity:
 
     def test_qualified_columns(self):
         assert Index("t", ("a", "b")).qualified_columns() == ("t.a", "t.b")
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            Index("lineitem", ("l_orderkey",)),
+            Index("t", ("x", "y", "z")),
+            Index("t", ("a",), name="my_idx"),
+            Index("t", ("a", "b"), name="it's"),
+            Index("t", ("a",), name='say "hi"'),
+            Index("t", ("a",), name="""both ' and " quotes"""),
+        ],
+    )
+    def test_repr_is_the_dataclass_text(self, index):
+        """``str(index)`` orders indexes canonically, so the explicit
+        ``__repr__`` must keep the text dataclass generates."""
+        generated = dataclasses.make_dataclass(
+            "Index",
+            [field.name for field in dataclasses.fields(Index)],
+            frozen=True,
+        )
+        expected = repr(generated(index.table, index.columns, index.name))
+        assert repr(index) == expected
+        assert str(index) == expected
 
 
 class TestValidation:

@@ -6,10 +6,11 @@ the ``benchmarks/`` suite:
 
 - :mod:`.scheduler` -- Algorithm 4 over dict/frozenset states, and a
   brute-force order oracle;
+- :mod:`.clustering` -- K-means with one masked mean per center;
 - :mod:`.planner` -- the scalar planner, ``plan_many`` one query at a
   time;
 - :mod:`.evaluator` -- Algorithm 3 one query at a time;
-- :func:`reference_mode` -- runs whole tunes on all three.
+- :func:`reference_mode` -- runs whole tunes on all four.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.cache import install_cache
+from repro.core import clustering as clustering_module
 from repro.core import evaluator as evaluator_module
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.db.planner import Planner
+from tests.oracles.clustering import kmeans_reference
 from tests.oracles.evaluator import evaluate_scalar
 from tests.oracles.planner import plan_many_scalar
 from tests.oracles.scheduler import (
@@ -32,6 +35,7 @@ __all__ = [
     "brute_force_order",
     "compute_order_dp_reference",
     "evaluate_scalar",
+    "kmeans_reference",
     "plan_many_scalar",
     "reference_mode",
 ]
@@ -42,7 +46,8 @@ def reference_mode():
     """Run everything inside the block on the reference implementations.
 
     ``ConfigurationEvaluator.evaluate`` becomes :func:`evaluate_scalar`,
-    the evaluator's DP becomes :func:`compute_order_dp_reference`, every
+    the evaluator's DP becomes :func:`compute_order_dp_reference`,
+    clustering's K-means becomes :func:`kmeans_reference`, every
     ``Planner.plan_many`` batch is planned per query by the scalar
     planner (:func:`plan_many_scalar`), and the persistent artifact
     cache is off.  Memoization belongs to the engine: build it with
@@ -51,11 +56,13 @@ def reference_mode():
     """
     saved = (
         evaluator_module.compute_order_dp,
+        clustering_module.kmeans,
         ConfigurationEvaluator.evaluate,
         Planner.plan_many,
     )
     previous_cache = install_cache(None)
     evaluator_module.compute_order_dp = compute_order_dp_adapter
+    clustering_module.kmeans = kmeans_reference
     ConfigurationEvaluator.evaluate = evaluate_scalar
     Planner.plan_many = plan_many_scalar
     try:
@@ -63,6 +70,7 @@ def reference_mode():
     finally:
         (
             evaluator_module.compute_order_dp,
+            clustering_module.kmeans,
             ConfigurationEvaluator.evaluate,
             Planner.plan_many,
         ) = saved
