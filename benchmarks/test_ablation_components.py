@@ -14,6 +14,7 @@ from repro.core.scheduler import compute_order_dp, expected_cost, greedy_order
 from repro.db.postgres import PostgresEngine
 from repro.sql.analyzer import JoinCondition
 from repro.workloads import load_workload
+from tests.oracles import compute_order_dp_sets, decode_mask
 
 pytestmark = pytest.mark.slow
 
@@ -84,7 +85,7 @@ class TestSchedulerPolicy:
 
         def run():
             dp = expected_cost(
-                compute_order_dp(queries, index_map, index_cost),
+                compute_order_dp_sets(queries, index_map, index_cost),
                 index_map,
                 index_cost,
             )
@@ -152,19 +153,24 @@ class TestClusteringCapSensitivity:
             indexes.append(Index(table, (column,)))
         config = Configuration("c", indexes=indexes)
         evaluator = ConfigurationEvaluator(engine)
-        index_map = evaluator.query_index_map(list(workload.queries), config)
+        masks = evaluator.query_index_map(list(workload.queries), config)
+        universe = evaluator.index_universe(config)
         index_cost = {
             index: engine.index_creation_seconds(index) for index in indexes
         }
+        bit_costs = [index_cost[index] for index in universe]
 
         def cost_at_cap(cap: int) -> float:
             clusters = cluster_queries(
-                [q.name for q in workload.queries], index_map, max_clusters=cap
+                [q.name for q in workload.queries], masks, max_clusters=cap
             )
             handles = list(range(len(clusters)))
-            cluster_map = {h: clusters[h].indexes for h in handles}
+            cluster_masks = {h: clusters[h].indexes for h in handles}
+            cluster_map = {
+                h: decode_mask(clusters[h].indexes, universe) for h in handles
+            }
             if len(handles) <= 13:
-                order = compute_order_dp(handles, cluster_map, index_cost)
+                order = compute_order_dp(handles, cluster_masks, bit_costs)
             else:
                 order = greedy_order(handles, cluster_map, index_cost)
             return expected_cost(order, cluster_map, index_cost)

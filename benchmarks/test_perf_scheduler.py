@@ -3,9 +3,10 @@
 Microbenchmarks the bitmask DP core at representative cluster counts
 (n = 8 / 11 / 13, the paper's §5.4 cap) on fixed randomized instances of
 two shapes -- sparse ones, and ones shaped like the cluster inputs of a
-JOB tune, whose marginal-cost table dominates the kernel -- plus the
-full ``tune()`` pipeline on TPC-H and JOB with the memoization layers
-on:
+JOB tune, whose marginal-cost table dominates the kernel -- the
+scheduling front end (``plan_order``: relevance masks, clustering and
+the DP) on the configurations a tune samples, plus the full ``tune()``
+pipeline on TPC-H and JOB with the memoization layers on:
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_scheduler.py \
         -m slow --benchmark-json=bench.json
@@ -23,14 +24,22 @@ import random
 
 import pytest
 
-from repro.core import LambdaTune
+from repro.cache import install_cache
+from repro.core import LambdaTune, LambdaTuneOptions
 from repro.core.config import Configuration
 from repro.core.evaluator import ConfigMeta, ConfigurationEvaluator
-from repro.core.scheduler import compute_order_dp
+from repro.core.scheduler import MAX_DP_INPUT, compute_order_dp
 from repro.db.postgres import PostgresEngine
 from repro.llm import SimulatedLLM
 from repro.workloads import job_workload, load_workload, tpch_workload
-from tests.oracles import compute_order_dp_reference, reference_mode
+from tests.oracles import (
+    cluster_queries_reference,
+    compute_order_dp_reference,
+    compute_order_dp_sets,
+    encode_bitmasks,
+    query_index_map_reference,
+    reference_mode,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -56,7 +65,9 @@ def _instance(n_queries: int, seed: int = 99, shape: str = "sparse"):
 @pytest.mark.parametrize("n_queries", [8, 11, 13])
 def test_dp_bitmask(benchmark, n_queries, shape):
     queries, index_map, costs = _instance(n_queries, shape=shape)
-    order = benchmark(compute_order_dp, queries, index_map, costs)
+    masks, universe = encode_bitmasks(queries, index_map)
+    bit_costs = [costs[index] for index in universe]
+    order = benchmark(compute_order_dp, queries, masks, bit_costs)
     assert order == compute_order_dp_reference(queries, index_map, costs)
 
 
@@ -65,7 +76,56 @@ def test_dp_reference(benchmark, n_queries):
     """The pre-rewrite formulation, benchmarked for the speedup ratio."""
     queries, index_map, costs = _instance(n_queries)
     order = benchmark(compute_order_dp_reference, queries, index_map, costs)
-    assert order == compute_order_dp(queries, index_map, costs)
+    assert order == compute_order_dp_sets(queries, index_map, costs)
+
+
+def _oracle_order(evaluator, queries, config):
+    """``plan_order`` through the oracles: pair-by-pair relevance,
+    frozenset clustering, then Algorithm 4 over dict/frozenset states."""
+    index_map = query_index_map_reference(queries, config)
+    clusters = cluster_queries_reference(
+        [query.name for query in queries], index_map, max_clusters=MAX_DP_INPUT
+    )
+    handles = list(range(len(clusters)))
+    order = compute_order_dp_reference(
+        handles,
+        {handle: clusters[handle].indexes for handle in handles},
+        evaluator.index_cost_map(config),
+    )
+    return [name for handle in order for name in clusters[handle].queries]
+
+
+@pytest.mark.parametrize("workload_name", ["tpch", "job"])
+def test_plan_order(benchmark, workload_name):
+    """``plan_order`` on a fresh evaluator for each configuration that
+    ``SimulatedLLM`` samples for seed 0, with no artifact cache."""
+    workload = tpch_workload() if workload_name == "tpch" else job_workload()
+    queries = list(workload.queries)
+    tuner = LambdaTune(
+        PostgresEngine(workload.catalog), SimulatedLLM(), LambdaTuneOptions(seed=0)
+    )
+    configs = tuner.sample_configurations(tuner.generate_prompt(queries))
+    assert len(configs) == 5
+
+    def run():
+        evaluators = [
+            ConfigurationEvaluator(PostgresEngine(workload.catalog)) for _ in configs
+        ]
+        orders = [
+            evaluator.plan_order(queries, config)
+            for evaluator, config in zip(evaluators, configs)
+        ]
+        return evaluators, orders
+
+    previous = install_cache(None)
+    try:
+        evaluators, orders = benchmark(run)
+    finally:
+        install_cache(previous)
+    for evaluator, config, order in zip(evaluators, configs, orders):
+        assert [query.name for query in order] == _oracle_order(
+            evaluator, queries, config
+        )
 
 
 @pytest.mark.parametrize("workload_name", ["tpch", "job"])

@@ -7,8 +7,12 @@ Euclidean distance, and the scheduler then orders *clusters* -- each
 labelled with the union of its members' indexes -- instead of single
 queries.  The input to the DP is strictly capped at 13.
 
-K-means as first written, one masked mean per center, is the test oracle
-``tests/oracles/clustering.py``; :func:`kmeans` returns its labels.
+A query's relevant indexes arrive as one int mask over the
+configuration's index universe (see ``ConfigurationEvaluator``), so the
+binary vectors are the masks' bits.
+
+Clustering over frozensets and K-means as first written, one masked
+mean per center, are the test oracles ``tests/oracles/clustering.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.scheduler import MAX_DP_INPUT
+from repro.core.scheduler import MAX_DP_INPUT, bit_positions, pack_bits
 from repro.errors import SchedulerError
 
 
@@ -27,27 +31,10 @@ class QueryCluster:
     """A group of queries scheduled as one unit."""
 
     queries: list = field(default_factory=list)
-    indexes: frozenset = frozenset()
+    indexes: int = 0  # the OR of the members' index masks
 
     def __hash__(self) -> int:
         return hash(tuple(str(query) for query in self.queries))
-
-
-def index_vectors(
-    queries: Sequence[Hashable],
-    index_map: Mapping[Hashable, frozenset],
-) -> tuple[np.ndarray, list[Hashable]]:
-    """Binary query-by-index matrix plus the index column order."""
-    all_indexes = sorted(
-        {index for handle in queries for index in index_map.get(handle, frozenset())},
-        key=str,
-    )
-    position = {index: column for column, index in enumerate(all_indexes)}
-    matrix = np.zeros((len(queries), max(1, len(all_indexes))), dtype=float)
-    for row, handle in enumerate(queries):
-        for index in index_map.get(handle, frozenset()):
-            matrix[row, position[index]] = 1.0
-    return matrix, all_indexes
 
 
 def kmeans(
@@ -100,9 +87,17 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
     return np.array(points[chosen], dtype=float)
 
 
+def _binary_rows(packed: list[int], width: int) -> np.ndarray:
+    """Bit ``c`` of ``packed[r]`` at ``[r, c]``, over ``max(1, width)`` columns."""
+    size = max(1, (width + 7) // 8)
+    raw = b"".join(mask.to_bytes(size, "little") for mask in packed)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+    return np.array(bits.reshape(len(packed), 8 * size)[:, : max(1, width)], float)
+
+
 def cluster_queries(
     queries: Sequence[Hashable],
-    index_map: Mapping[Hashable, frozenset],
+    masks: Mapping[Hashable, int],
     *,
     max_clusters: int = MAX_DP_INPUT,
     seed: int = 0,
@@ -110,44 +105,48 @@ def cluster_queries(
 ) -> list[QueryCluster]:
     """Group queries into at most ``max_clusters`` clusters.
 
-    Queries with identical index dependencies always land in the same
-    cluster (they are indistinguishable to the cost model -- the paper's
-    ``q1: A``, ``q2: A`` example).
+    ``masks`` maps each query to its relevant indexes (a missing query
+    needs none).  Queries with identical masks always land in the same
+    cluster (they are indistinguishable to the cost model -- the
+    paper's ``q1: A``, ``q2: A`` example).  Distinct masks are ordered
+    by popcount, then by ascending bit positions: ``(len(s),
+    sorted(map(str, s)))`` over the index sets.  Beyond the cap K-means
+    merges them, as binary rows over the packed bits of their union.
 
-    ``memo`` (owned by the caller) maps ``(distinct signatures,
-    max_clusters, seed)`` to the K-means labels, which depend on nothing
-    else; the query handles are regrouped under them on every call.
+    ``memo`` (owned by the caller) maps ``(packed masks, max_clusters,
+    seed)`` to the K-means labels, which depend on nothing else; the
+    query handles are regrouped under them on every call.
     """
     if not queries:
         return []
-    handles = list(queries)
 
-    # Collapse identical dependency signatures first; K-means then only
-    # has to merge *distinct* signatures down to the cap.
-    by_signature: dict[frozenset, list] = {}
-    for handle in handles:
-        signature = frozenset(index_map.get(handle, frozenset()))
-        by_signature.setdefault(signature, []).append(handle)
+    # Collapse identical masks first; K-means then only has to merge
+    # *distinct* masks down to the cap.
+    by_signature: dict[int, list] = {}
+    for handle in queries:
+        by_signature.setdefault(masks.get(handle, 0), []).append(handle)
 
-    signatures = sorted(by_signature, key=lambda s: (len(s), sorted(map(str, s))))
+    signatures = sorted(
+        by_signature, key=lambda mask: (mask.bit_count(), bit_positions(mask))
+    )
     if len(signatures) <= max_clusters:
         return [
-            QueryCluster(queries=list(by_signature[signature]), indexes=signature)
+            QueryCluster(queries=by_signature[signature], indexes=signature)
             for signature in signatures
         ]
 
-    key = (tuple(signatures), max_clusters, seed)
+    packed, union = pack_bits(signatures)
+    key = (tuple(packed), max_clusters, seed)
     labels = None if memo is None else memo.get(key)
     if labels is None:
-        signature_map = {signature: signature for signature in signatures}
-        matrix, _ = index_vectors(signatures, signature_map)
-        labels = tuple(kmeans(matrix, max_clusters, seed=seed).tolist())
+        rows = _binary_rows(packed, union.bit_count())
+        labels = tuple(kmeans(rows, max_clusters, seed=seed).tolist())
         if memo is not None:
             memo[key] = labels
 
     clusters: dict[int, QueryCluster] = {}
     for signature, label in zip(signatures, labels):
-        cluster = clusters.setdefault(int(label), QueryCluster())
+        cluster = clusters.setdefault(label, QueryCluster())
         cluster.queries.extend(by_signature[signature])
-        cluster.indexes = cluster.indexes | signature
+        cluster.indexes |= signature
     return [clusters[label] for label in sorted(clusters)]

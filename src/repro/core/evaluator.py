@@ -21,12 +21,14 @@ expensive pure derivations are memoized for the evaluator's lifetime
 (one selection), each keyed on the inputs it actually reads rather than
 on the pending set:
 
-- predicate columns per query ``(name, sql)``;
-- index relevance per (config index tuple, query ``(name, sql)``), so
-  any pending subset is answered by lookup;
+- per config index tuple: its universe (the distinct indexes sorted by
+  ``str``, bit ``b`` of a mask standing for the ``b``-th), a posting map
+  from each qualified column to the bits of the indexes on it, and each
+  query's mask per ``(name, sql)``, which clustering, the DP and the
+  lazy builds read; any pending subset is answered by lookup;
 - index-creation costs per (configuration content, engine signature);
-- K-means labels per (distinct index signatures, cluster cap, seed);
-- the DP's order per encoded input ``(n, qmasks, bit_costs)``;
+- K-means labels per (packed distinct masks, cluster cap, seed);
+- the DP's order per packed input ``(n, qmasks, bit_costs)``;
 - the final order per (pending names, configuration content, engine
   signature).
 
@@ -50,7 +52,7 @@ import numpy as np
 from repro.cache import MISS, active_cache
 from repro.core.clustering import cluster_queries
 from repro.core.config import Configuration
-from repro.core.scheduler import MAX_DP_INPUT, compute_order_dp, greedy_order
+from repro.core.scheduler import MAX_DP_INPUT, compute_order_dp
 from repro.db.engine import DatabaseEngine
 from repro.db.indexes import Index
 from repro.db.resources import ResourceBudget
@@ -96,6 +98,23 @@ class ConfigMeta:
         return ConfigurationRejectedError(self.failure or "configuration failed")
 
 
+class _Relevance:
+    """One index tuple's canonical universe and the masks over it."""
+
+    __slots__ = ("universe", "postings", "key_bits", "masks")
+
+    def __init__(self, indexes: tuple[Index, ...]) -> None:
+        self.universe = tuple(sorted(set(indexes), key=str))
+        self.postings: dict[str, int] = {}  # column -> bits of its indexes
+        self.key_bits: dict[tuple, int] = {}  # index key -> bits with that key
+        for bit, index in enumerate(self.universe):
+            flag = 1 << bit
+            for column in index.qualified_columns():
+                self.postings[column] = self.postings.get(column, 0) | flag
+            self.key_bits[index.key] = self.key_bits.get(index.key, 0) | flag
+        self.masks: dict[tuple[str, str], int] = {}  # query (name, sql) -> mask
+
+
 class ConfigurationEvaluator:
     """Evaluates candidate configurations on the live engine."""
 
@@ -116,17 +135,15 @@ class ConfigurationEvaluator:
         self._cluster_seed = cluster_seed
         self._caches = engine.caches
         self._budget = budget
-        # query (name, sql) -> columns its predicates touch
-        self._predicate_columns: dict[tuple[str, str], frozenset[str]] = {}
-        # config index tuple -> {query (name, sql): relevant indexes}
-        self._relevance: dict[tuple[Index, ...], dict[tuple, frozenset]] = {}
+        # config index tuple -> its universe, postings and query masks
+        self._relevance: dict[tuple[Index, ...], _Relevance] = {}
         # config signature + engine signature -> {index: creation seconds}
         self._index_cost_cache: dict[tuple, dict[Index, float]] = {}
         # query-name tuple + config signature + engine signature -> order
         self._order_cache: dict[tuple, list[str]] = {}
-        # encoded DP input (n, qmasks, bit_costs) -> order of positions
+        # packed DP input (n, qmasks, bit_costs) -> order of positions
         self._dp_memo: dict[tuple, tuple[int, ...]] = {}
-        # (distinct signatures, cap, seed) -> K-means labels
+        # (packed distinct masks, cap, seed) -> K-means labels
         self._label_memo: dict[tuple, tuple[int, ...]] = {}
 
     # -- resource feasibility ---------------------------------------------------------
@@ -175,54 +192,52 @@ class ConfigurationEvaluator:
 
     # -- index relevance ------------------------------------------------------------
 
-    def query_index_map(
-        self, queries: list[Query], config: Configuration
-    ) -> dict[str, frozenset]:
-        """Map each query name to the config indexes it could use.
-
-        An index is potentially relevant when its indexed columns
-        overlap the columns in the query's predicates (paper §5.1).
-        Relevance reads only the query's analyzer facts and the config's
-        index list, so it is memoized per (config indexes, query
-        ``(name, sql)``) -- shared by configurations that differ only in
-        settings -- and any pending subset is answered by lookup.
-        """
+    def _relevance_of(self, config: Configuration) -> _Relevance:
+        """The memo entry of the configuration's index tuple."""
         indexes = tuple(config.indexes)
         relevance = self._relevance.get(indexes) if self._caches else None
         if relevance is None:
-            relevance = {}
+            relevance = _Relevance(indexes)
             if self._caches:
                 self._evict_if_full(self._relevance)
                 self._relevance[indexes] = relevance
-        index_columns = [(index, index.qualified_columns()) for index in indexes]
-        result: dict[str, frozenset] = {}
+        return relevance
+
+    def index_universe(self, config: Configuration) -> tuple[Index, ...]:
+        """The config's distinct indexes in ``str`` order; bit ``b`` of a
+        :meth:`query_index_map` mask stands for the ``b``-th."""
+        return self._relevance_of(config).universe
+
+    def query_index_map(
+        self, queries: list[Query], config: Configuration
+    ) -> dict[str, int]:
+        """Map each query name to the mask of config indexes it could use.
+
+        An index is potentially relevant when its indexed columns
+        overlap the columns in the query's predicates (paper §5.1), so a
+        query's mask is the OR of the postings of its filter and join
+        columns.  Relevance reads only the query's analyzer facts and
+        the config's index list, so it is memoized per (config indexes,
+        query ``(name, sql)``) -- shared by configurations that differ
+        only in settings -- and any pending subset is answered by lookup.
+        """
+        relevance = self._relevance_of(config)
+        postings, known = relevance.postings, relevance.masks
+        result: dict[str, int] = {}
         for query in queries:
             key = (query.name, query.sql)
-            relevant = relevance.get(key)
-            if relevant is None:
-                predicate_columns = self._query_columns(query, key)
-                relevant = relevance[key] = frozenset(
-                    index
-                    for index, columns in index_columns
-                    if any(column in predicate_columns for column in columns)
-                )
-            result[query.name] = relevant
+            mask = known.get(key)
+            if mask is None:
+                info = query.info
+                mask = 0
+                for predicate in info.filters:
+                    mask |= postings.get(predicate.qualified_column, 0)
+                for condition in info.join_conditions:
+                    mask |= postings.get(condition.left, 0)
+                    mask |= postings.get(condition.right, 0)
+                known[key] = mask
+            result[query.name] = mask
         return result
-
-    def _query_columns(self, query: Query, key: tuple) -> frozenset[str]:
-        """Qualified columns in the query's filters and join conditions."""
-        columns = self._predicate_columns.get(key)
-        if columns is None:
-            found = {
-                predicate.qualified_column for predicate in query.info.filters
-            }
-            for condition in query.info.join_conditions:
-                found.update(condition.columns)
-            columns = frozenset(found)
-            if self._caches:
-                self._evict_if_full(self._predicate_columns)
-                self._predicate_columns[key] = columns
-        return columns
 
     # -- index creation costs ---------------------------------------------------------
 
@@ -259,8 +274,8 @@ class ConfigurationEvaluator:
         The computed order is memoized keyed by (pending queries,
         configuration content, engine state signature).  When the
         pending set changed, the K-means labels and the DP still come
-        from their memos whenever their own inputs -- the distinct index
-        signatures, and the encoded DP input -- repeat.
+        from their memos whenever their own inputs -- the packed
+        distinct masks, and the packed DP input -- repeat.
         """
         if not self._use_scheduler or len(queries) <= 1:
             return list(queries)
@@ -306,8 +321,9 @@ class ConfigurationEvaluator:
                 by_name = {query.name: query for query in queries}
                 return [by_name[name] for name in names]
 
-        index_map = self.query_index_map(queries, config)
+        masks = self.query_index_map(queries, config)
         index_cost = self.index_cost_map(config)
+        bit_costs = [index_cost[index] for index in self.index_universe(config)]
 
         label_memo = dp_memo = None
         if key is not None:
@@ -316,23 +332,18 @@ class ConfigurationEvaluator:
             label_memo, dp_memo = self._label_memo, self._dp_memo
         clusters = cluster_queries(
             [query.name for query in queries],
-            index_map,
+            masks,
             max_clusters=self._max_dp_input,
             seed=self._cluster_seed,
             memo=label_memo,
         )
         cluster_handles = list(range(len(clusters)))
-        cluster_index_map = {
-            handle: clusters[handle].indexes for handle in cluster_handles
-        }
-        if len(cluster_handles) <= self._max_dp_input:
-            ordered_handles = compute_order_dp(
-                cluster_handles, cluster_index_map, index_cost, memo=dp_memo
-            )
-        else:  # pragma: no cover - cluster_queries respects the cap
-            ordered_handles = greedy_order(
-                cluster_handles, cluster_index_map, index_cost
-            )
+        ordered_handles = compute_order_dp(
+            cluster_handles,
+            {handle: clusters[handle].indexes for handle in cluster_handles},
+            bit_costs,
+            memo=dp_memo,
+        )
 
         by_name = {query.name: query for query in queries}
         ordered: list[Query] = []
@@ -390,7 +401,7 @@ class ConfigurationEvaluator:
             config.apply_settings(engine)
             meta.is_complete = True
 
-            index_map = self.query_index_map(queries, config)
+            masks = self.query_index_map(queries, config)
             ordered = self.plan_order(queries, config)
 
             if not self._lazy_indexes:
@@ -400,23 +411,34 @@ class ConfigurationEvaluator:
                         meta.index_time += engine.create_index(index)
                         created_here.append(index)
 
+            relevance = self._relevance_of(config)
+            # Bits whose index key the engine has: built here, or before.
+            built = 0
+            for index_key in preexisting:
+                built |= relevance.key_bits.get(index_key, 0)
+            # Without lazy builds, or with no relevant index anywhere,
+            # the whole order is one segment.
+            lazy = self._lazy_indexes and any(masks.values())
             position = 0
             total = len(ordered)
-            # With no relevant indexes anywhere the lazy-creation
-            # scan and the boundary scan are both no-ops: the whole
-            # order is one segment.
-            no_index_work = not any(index_map.values())
             while position < total:
-                if self._lazy_indexes and not no_index_work:
-                    for index in sorted(index_map[ordered[position].name], key=str):
-                        if index.key in preexisting or engine.has_index(index):
-                            continue
+                end = total
+                if lazy:
+                    # Build the query's missing indexes in bit (``str``)
+                    # order; a build also covers the bits of its key.
+                    unbuilt = masks[ordered[position].name] & ~built
+                    while unbuilt:
+                        bit = (unbuilt & -unbuilt).bit_length() - 1
+                        index = relevance.universe[bit]
                         meta.index_time += engine.create_index(index)
                         created_here.append(index)
-
-                end = total if no_index_work else self._segment_end(
-                    ordered, position, index_map, preexisting
-                )
+                        built |= relevance.key_bits[index.key]
+                        unbuilt &= ~built
+                    # The segment ends before the next query that needs
+                    # an unbuilt index: the engine signature changes there.
+                    end = position + 1
+                    while end < total and not masks[ordered[end].name] & ~built:
+                        end += 1
                 batch = engine.execute_many(
                     ordered[position:end], timeout=remaining_time
                 )
@@ -444,33 +466,3 @@ class ConfigurationEvaluator:
             # other configurations start from a clean slate (§5.1).
             for index in created_here:
                 engine.drop_index(index)
-
-    def _segment_end(
-        self,
-        ordered: list[Query],
-        position: int,
-        index_map: dict[str, frozenset],
-        preexisting: set,
-    ) -> int:
-        """Exclusive end of the index-stable segment starting at ``position``.
-
-        Called *after* the indexes for ``ordered[position]`` exist, so
-        the scan extends exactly to the next query whose relevant
-        indexes include one not yet built -- the point where the engine
-        signature would change.  Without lazy indexes every index is
-        built up front and the whole order is one segment.
-        """
-        engine = self._engine
-        end = position + 1
-        if self._lazy_indexes:
-            while end < len(ordered):
-                needs_index = any(
-                    index.key not in preexisting and not engine.has_index(index)
-                    for index in index_map[ordered[end].name]
-                )
-                if needs_index:
-                    break
-                end += 1
-        else:
-            end = len(ordered)
-        return end

@@ -5,28 +5,27 @@ dynamic-programming scheduler (Algorithm 4, Selinger-style enumeration
 over query subsets), plus the greedy/arbitrary orders used by the
 scheduler ablation.
 
-Queries are identified by opaque hashable handles; the caller supplies
-``index_map`` (handle -> set of index keys potentially useful for that
-query) and ``index_cost`` (index key -> creation seconds).
+Queries are identified by opaque hashable handles, each with an int
+mask over the caller's index universe (see ``ConfigurationEvaluator``);
+each universe bit has one creation cost.
 
-:func:`compute_order_dp` is the bitmask DP.  Index sets are encoded as
-integers over a canonical (str-sorted) index universe, DP state lives in
-flat arrays of size ``2^n`` indexed by subset mask, order reconstruction
-uses parent pointers instead of per-subset tuple copies, and marginal
-costs are memoized per ``(query, needed-mask)``.  When the index
-universe fits in 63 bits, numpy is available and ``n >= 8``, a hoisted
-kernel builds every query's marginal cost over every prefix once, one
-masked add per (query, index bit), then scores each subset layer over
-its members' candidates in one array pass per member rank; below that
-size the scalar layer loop is faster.  An optional caller-owned
-``memo`` keyed on the encoded input ``(n, qmasks, bit_costs)`` lets
-equal inputs share one solve.
+:func:`compute_order_dp` is the bitmask DP.  It packs the bits some
+query uses onto ``0 .. k-1`` in ascending order, so bit order is the
+canonical summation order.  DP state lives in flat arrays of size
+``2^n`` indexed by subset mask, order reconstruction uses parent
+pointers instead of per-subset tuple copies, and marginal costs are
+memoized per ``(query, needed-mask)``.  For ``n >= 8`` a hoisted kernel
+builds every query's marginal cost over every prefix once, one masked
+add per (query, index bit), then scores each subset layer over its
+members' candidates in one array pass per member rank; below that size
+the scalar layer loop is faster.  An optional caller-owned ``memo``
+keyed on the packed input ``(n, qmasks, bit_costs)`` lets equal inputs
+share one solve.
 
-Costs are summed in one canonical order (ascending str-sorted index
-universe), so the order never depends on ``PYTHONHASHSEED`` (set
-iteration order).  The dict/frozenset formulation of Algorithm 4 and a
-brute-force oracle live in the test package (``tests/oracles``), which
-pins this implementation to them.
+Costs are summed in ascending bit order, so the order never depends on
+``PYTHONHASHSEED`` (set iteration order).  The dict/frozenset
+formulation of Algorithm 4 and a brute-force oracle live in the test
+package (``tests/oracles``), which pins this implementation to them.
 """
 
 from __future__ import annotations
@@ -34,10 +33,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Hashable, Mapping, Sequence
 
-try:  # numpy accelerates the subset layers; pure python works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep of the repo
-    _np = None
+import numpy as _np
 
 from repro.errors import SchedulerError
 
@@ -111,32 +107,47 @@ def _checked_handles(
     return handles
 
 
-def _encode_bitmasks(
-    handles: Sequence[QueryHandle],
-    index_map: Mapping[QueryHandle, frozenset],
-    index_cost: Mapping[Hashable, float],
-) -> tuple[list[int], list[float]]:
-    """Encode per-query index sets as ints over a canonical universe.
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
 
-    The universe contains only indexes that some query actually needs,
-    sorted by ``str`` -- so bit order equals canonical summation order
-    and encodings are stable across processes.
-    """
-    index_sets = [index_map.get(handle, frozenset()) for handle in handles]
-    universe = sorted({index for s in index_sets for index in s}, key=str)
-    bit_of = {index: bit for bit, index in enumerate(universe)}
-    qmasks = [
-        sum(1 << bit_of[index] for index in index_set)
-        for index_set in index_sets
-    ]
-    bit_costs = [float(index_cost[index]) for index in universe]
-    return qmasks, bit_costs
+
+def pack_bits(masks: Sequence[int]) -> tuple[list[int], int]:
+    """The masks with the bits they use renumbered ``0, 1, ...`` in
+    ascending order, and the union of those bits.  Each run of
+    consecutive bits in the union moves in one shift per mask."""
+    used = 0
+    for mask in masks:
+        used |= mask
+    runs = []
+    packed_width = 0
+    rest = used
+    while rest:
+        start = (rest & -rest).bit_length() - 1
+        shifted = rest >> start
+        length = (shifted ^ (shifted + 1)).bit_length() - 1
+        ones = (1 << length) - 1
+        runs.append((start, ones, packed_width))
+        packed_width += length
+        rest ^= ones << start
+    packed = []
+    for mask in masks:
+        value = 0
+        for start, ones, target in runs:
+            value |= ((mask >> start) & ones) << target
+        packed.append(value)
+    return packed, used
 
 
 def compute_order_dp(
     queries: Sequence[QueryHandle],
-    index_map: Mapping[QueryHandle, frozenset],
-    index_cost: Mapping[Hashable, float],
+    masks: Mapping[QueryHandle, int],
+    bit_costs: Sequence[float],
     *,
     memo: dict | None = None,
 ) -> list[QueryHandle]:
@@ -147,36 +158,38 @@ def compute_order_dp(
     adds ``z * (n - k)``.  The principle of optimality (Theorem 5.2)
     makes prefix-optimal solutions composable.
 
+    ``masks`` maps each handle to its index set as a mask over the
+    caller's universe (a missing handle needs no index), and
+    ``bit_costs[b]`` is the creation cost of bit ``b``.  Only the bits
+    some query uses enter the DP, packed in ascending order.
+
     This is the bitmask core: states are integer subset masks, DP cost
     and parent-pointer tables are flat arrays of size ``2^n``, and the
     "created indexes" of every subset is an int OR over member masks.
 
-    ``memo`` (owned by the caller) maps the encoded input
+    ``memo`` (owned by the caller) maps the packed input
     ``(n, qmasks, bit_costs)`` to the order of input positions: the
-    parent pointers depend on nothing else, so inputs that encode
-    equally -- whatever their handles -- share one solve.
+    parent pointers depend on nothing else, so inputs that pack
+    equally -- whatever their handles and universes -- share one solve.
     """
     n = len(queries)
     if n == 0:
         return []
     handles = _checked_handles(queries)
-    qmasks, bit_costs = _encode_bitmasks(handles, index_map, index_cost)
+    qmasks, used = pack_bits([masks.get(handle, 0) for handle in handles])
+    costs = [float(bit_costs[bit]) for bit in bit_positions(used)]
 
     key = None
     if memo is not None:
-        key = (n, tuple(qmasks), tuple(bit_costs))
+        key = (n, tuple(qmasks), tuple(costs))
         positions = memo.get(key)
         if positions is not None:
             return [handles[i] for i in positions]
 
-    if (
-        _np is not None
-        and len(bit_costs) <= 63
-        and n >= _VECTOR_MIN_QUERIES
-    ):
-        parents = _dp_parents_vectorized(n, qmasks, bit_costs)
+    if n >= _VECTOR_MIN_QUERIES:
+        parents = _dp_parents_vectorized(n, qmasks, costs)
     else:
-        parents = _dp_parents_scalar(n, qmasks, bit_costs)
+        parents = _dp_parents_scalar(n, qmasks, costs)
 
     # Parent-pointer reconstruction: walk back from the full mask.
     order: list[int] = []
@@ -209,7 +222,7 @@ def _mask_cost(mask: int, bit_costs: list[float], memo: dict[int, float]) -> flo
 def _dp_parents_scalar(
     n: int, qmasks: list[int], bit_costs: list[float]
 ) -> list[int]:
-    """Pure-python bitmask DP; works for index universes of any size."""
+    """Pure-python bitmask DP, the faster one for n < 8."""
     size = 1 << n
     dp_cost = [0.0] * size
     parents = [-1] * size

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -51,8 +52,8 @@ from repro.errors import ConfigurationError, EngineFaultError, TransientEngineEr
 from repro.sql.analyzer import QueryInfo, analyze
 
 
-#: Safety valve for the catalog-shared caches: a pathological stream of
-#: distinct configurations must not grow them without bound.
+#: Safety valve for the catalog-shared plan cache: a pathological stream
+#: of distinct configurations must not grow it without bound.
 _MAX_SHARED_CACHE_ENTRIES = 65536
 
 
@@ -63,7 +64,7 @@ _MAX_SHARED_CACHE_ENTRIES = 65536
 _MAX_SECONDS_CACHE_ENTRIES = 512
 
 
-def shared_catalog_cache(catalog: Catalog, section: str) -> dict:
+def shared_catalog_cache(catalog: Catalog, section: str, factory=dict) -> dict:
     """A named cache dictionary attached to a :class:`Catalog` instance.
 
     Derivations that depend only on catalog content (SQL analysis) or on
@@ -78,7 +79,7 @@ def shared_catalog_cache(catalog: Catalog, section: str) -> dict:
     if caches is None:
         caches = {}
         catalog._shared_caches = caches  # type: ignore[attr-defined]
-    return caches.setdefault(section, {})
+    return caches.setdefault(section, factory())
 
 
 def shared_analysis_cache(catalog: Catalog) -> dict[str, QueryInfo]:
@@ -86,7 +87,7 @@ def shared_analysis_cache(catalog: Catalog) -> dict[str, QueryInfo]:
     return shared_catalog_cache(catalog, "analysis")
 
 
-def shared_plan_cache(catalog: Catalog) -> dict:
+def shared_plan_cache(catalog: Catalog) -> OrderedDict:
     """The per-catalog plan cache, shared across engines.
 
     Keyed by ``(system, hardware, sql, config signature)``: the
@@ -94,8 +95,10 @@ def shared_plan_cache(catalog: Catalog) -> dict:
     engines in the same state produce interchangeable plans.  Values are
     ``(plan, pre-noise seconds)``; per-query deterministic noise is
     applied at lookup because it depends on the query *name*, not text.
+    At the size valve the oldest plan goes, in one ``popitem`` call that
+    engines on other server threads cannot interleave.
     """
-    return shared_catalog_cache(catalog, "plans")
+    return shared_catalog_cache(catalog, "plans", OrderedDict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +202,7 @@ class DatabaseEngine(abc.ABC):
             self._plan_cache = shared_plan_cache(catalog)
         else:
             self._analysis_cache = {}
-            self._plan_cache = {}
+            self._plan_cache = OrderedDict()
         # Memoization keyed by the settings-only part of the signature:
         # planner costs and the runtime env do not depend on indexes.
         self._settings_text = ""
@@ -497,7 +500,7 @@ class DatabaseEngine(abc.ABC):
         missing: dict[str, QueryInfo] = {}
         # ``resolved`` collects one entry per unique sql -- shared-cache
         # hits and everything this call plans -- so the final gather is
-        # immune to the size valve clearing the shared cache mid-batch.
+        # immune to the size valve evicting entries mid-batch.
         resolved: dict[str, tuple[QueryPlan, float]] = {}
         for _, sql, info in parts:
             if sql not in keys:
@@ -554,8 +557,8 @@ class DatabaseEngine(abc.ABC):
                         persistent.store("plan", self._plan_material(sql), cached)
                     fresh[sql] = cached
             for sql, cached in fresh.items():
-                if len(plan_cache) > _MAX_SHARED_CACHE_ENTRIES:
-                    plan_cache.clear()
+                while len(plan_cache) >= _MAX_SHARED_CACHE_ENTRIES:
+                    plan_cache.popitem(last=False)
                 plan_cache[keys[sql]] = cached
             resolved.update(fresh)
 

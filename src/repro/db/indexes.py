@@ -34,14 +34,6 @@ class Index:
             suffix = "_".join(self.columns)
             object.__setattr__(self, "name", f"idx_{self.table}_{suffix}")
 
-    def __repr__(self) -> str:
-        # The text dataclass would generate, without its recursion guard:
-        # ``str(index)`` is the sort key of every canonical index order.
-        return (
-            f"{type(self).__qualname__}(table={self.table!r}, "
-            f"columns={self.columns!r}, name={self.name!r})"
-        )
-
     @property
     def key(self) -> tuple[str, tuple[str, ...]]:
         """Identity of the index: same table + columns = same index."""

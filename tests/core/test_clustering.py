@@ -1,18 +1,37 @@
-"""Query clustering tests (paper §5.4)."""
+"""Query clustering tests (paper §5.4).
+
+``cluster_queries`` takes index masks; most tests here state index sets
+and go through the oracle encoder, decoding each cluster's mask back.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.clustering import (
-    QueryCluster,
-    cluster_queries,
-    index_vectors,
-    kmeans,
-)
+from repro.core.clustering import QueryCluster, cluster_queries, kmeans
 from repro.core.scheduler import MAX_DP_INPUT
 from repro.errors import SchedulerError
-from tests.oracles import kmeans_reference
+from tests.oracles import (
+    cluster_queries_reference,
+    decode_mask,
+    encode_bitmasks,
+    kmeans_reference,
+)
+from tests.oracles.clustering import SetCluster, index_vectors
+
+
+def _clusters(queries, index_map, *, unused=frozenset(), **options):
+    """``cluster_queries`` on index sets, each cluster's mask decoded.
+
+    The universe also holds the ``unused`` indexes, which no query
+    needs, as a configuration's universe may."""
+    masks, universe = encode_bitmasks(
+        [*queries, None], {**index_map, None: frozenset(unused)}
+    )
+    return [
+        SetCluster(cluster.queries, decode_mask(cluster.indexes, universe))
+        for cluster in cluster_queries(queries, masks, **options)
+    ]
 
 
 class TestIndexVectors:
@@ -117,11 +136,12 @@ class TestKMeansMatchesReference:
 class TestClusterQueries:
     def test_empty(self):
         assert cluster_queries([], {}) == []
+        assert _clusters([], {}) == []
 
     def test_identical_signatures_merge(self):
         """The paper's q1:A, q2:A example -- one cluster labelled A."""
         index_map = {"q1": frozenset({"a"}), "q2": frozenset({"a"})}
-        clusters = cluster_queries(["q1", "q2"], index_map)
+        clusters = _clusters(["q1", "q2"], index_map)
         assert len(clusters) == 1
         assert set(clusters[0].queries) == {"q1", "q2"}
         assert clusters[0].indexes == frozenset({"a"})
@@ -132,14 +152,14 @@ class TestClusterQueries:
             "q2": frozenset({"b"}),
             "q3": frozenset(),
         }
-        clusters = cluster_queries(["q1", "q2", "q3"], index_map)
+        clusters = _clusters(["q1", "q2", "q3"], index_map)
         assert len(clusters) == 3
 
     def test_cap_enforced(self):
         index_map = {
             f"q{i}": frozenset({f"i{i}"}) for i in range(MAX_DP_INPUT + 10)
         }
-        clusters = cluster_queries(list(index_map), index_map)
+        clusters = _clusters(list(index_map), index_map)
         assert len(clusters) <= MAX_DP_INPUT
 
     def test_all_queries_assigned_exactly_once(self):
@@ -147,7 +167,7 @@ class TestClusterQueries:
             f"q{i}": frozenset({f"i{i % 20}", f"i{(i * 7) % 20}"})
             for i in range(40)
         }
-        clusters = cluster_queries(list(index_map), index_map, max_clusters=5)
+        clusters = _clusters(list(index_map), index_map, max_clusters=5)
         assigned = [query for cluster in clusters for query in cluster.queries]
         assert sorted(assigned) == sorted(index_map)
 
@@ -155,7 +175,7 @@ class TestClusterQueries:
         index_map = {
             f"q{i}": frozenset({f"i{i % 18}"}) for i in range(30)
         }
-        clusters = cluster_queries(list(index_map), index_map, max_clusters=4)
+        clusters = _clusters(list(index_map), index_map, max_clusters=4)
         for cluster in clusters:
             union = frozenset().union(
                 *(index_map[query] for query in cluster.queries)
@@ -166,8 +186,8 @@ class TestClusterQueries:
         index_map = {
             f"q{i}": frozenset({f"i{(i * 3) % 17}"}) for i in range(25)
         }
-        a = cluster_queries(list(index_map), index_map, max_clusters=6, seed=2)
-        b = cluster_queries(list(index_map), index_map, max_clusters=6, seed=2)
+        a = _clusters(list(index_map), index_map, max_clusters=6, seed=2)
+        b = _clusters(list(index_map), index_map, max_clusters=6, seed=2)
         assert [c.queries for c in a] == [c.queries for c in b]
 
     @settings(max_examples=40, deadline=None)
@@ -181,7 +201,7 @@ class TestClusterQueries:
     )
     def test_partition_property(self, raw_map, cap):
         index_map = {f"q{k}": v for k, v in raw_map.items()}
-        clusters = cluster_queries(list(index_map), index_map, max_clusters=cap)
+        clusters = _clusters(list(index_map), index_map, max_clusters=cap)
         assert len(clusters) <= max(cap, 1)
         assigned = [q for cluster in clusters for q in cluster.queries]
         assert sorted(assigned) == sorted(index_map)
@@ -204,10 +224,10 @@ class TestClusterQueries:
         renamed = {f"r{k}": v for k, v in raw_map.items()}
         memo: dict = {}
         for mapping in (index_map, index_map, renamed):
-            cold = cluster_queries(
+            cold = _clusters(
                 list(mapping), mapping, max_clusters=cap, seed=seed
             )
-            warm = cluster_queries(
+            warm = _clusters(
                 list(mapping), mapping, max_clusters=cap, seed=seed, memo=memo
             )
             assert warm == cold
@@ -220,7 +240,7 @@ class TestClusterQueries:
             f"q{i}": frozenset({f"i{(i * 3) % 17}"}) for i in range(25)
         }
         memo: dict = {}
-        cold = cluster_queries(
+        cold = _clusters(
             list(index_map), index_map, max_clusters=6, seed=2, memo=memo
         )
         assert len(memo) == 1
@@ -229,17 +249,73 @@ class TestClusterQueries:
             raise AssertionError("K-means ran on a warm memo")
 
         monkeypatch.setattr(clustering_module, "kmeans", no_kmeans)
-        warm = cluster_queries(
+        warm = _clusters(
             list(index_map), index_map, max_clusters=6, seed=2, memo=memo
         )
         assert warm == cold
         with pytest.raises(AssertionError, match="warm memo"):
-            cluster_queries(
+            _clusters(
                 list(index_map), index_map, max_clusters=6, seed=3, memo=memo
             )
+
+    def test_label_memo_shared_across_universes(self):
+        """Unused universe bits between the used ones pack away, so the
+        same signatures in a wider universe hit the same labels."""
+        index_map = {
+            f"q{i}": frozenset({f"i{(i * 3) % 17:02d}"}) for i in range(25)
+        }
+        unused = frozenset(f"i{k:02d}x" for k in range(17))
+        memo: dict = {}
+        narrow = _clusters(
+            list(index_map), index_map, max_clusters=6, seed=2, memo=memo
+        )
+        wide = _clusters(
+            list(index_map), index_map, unused=unused, max_clusters=6, seed=2,
+            memo=memo,
+        )
+        assert len(memo) == 1
+        assert wide == narrow
+
+
+class TestMatchesSetOracle:
+    """Mask clustering, decoded, against the frozenset formulation in
+    ``tests/oracles/clustering.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, 40),
+            st.frozensets(st.integers(0, 24), max_size=6),
+            max_size=40,
+        ),
+        st.frozensets(st.integers(0, 30), max_size=4),
+        st.integers(min_value=1, max_value=MAX_DP_INPUT),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    def test_decoded_clusters_equal_oracle(
+        self, raw_map, unused, cap, seed, text_labels
+    ):
+        """Integer labels sort by ``str`` (``10 < 2``), not by value;
+        text labels sort the same way as their own order."""
+        label = str if text_labels else int
+        index_map = {
+            f"q{k}": frozenset(label(i) for i in v) for k, v in raw_map.items()
+        }
+        unused = frozenset(label(i) for i in unused)
+        queries = list(index_map)
+        expected = cluster_queries_reference(
+            queries, index_map, max_clusters=cap, seed=seed
+        )
+        assert _clusters(
+            queries, index_map, unused=unused, max_clusters=cap, seed=seed
+        ) == expected
+        assert _clusters(
+            queries, index_map, unused=unused, max_clusters=cap, seed=seed, memo={}
+        ) == expected
 
 
 class TestQueryClusterObject:
     def test_hashable(self):
-        cluster = QueryCluster(queries=["a"], indexes=frozenset({"x"}))
+        cluster = QueryCluster(queries=["a"], indexes=0b1)
         assert hash(cluster) == hash(QueryCluster(queries=["a"]))

@@ -1,11 +1,13 @@
 """Configuration evaluator tests (Algorithm 3)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import Configuration
 from repro.core.evaluator import ConfigMeta, ConfigurationEvaluator
 from repro.db.indexes import Index
 from repro.db.postgres import PostgresEngine
+from tests.oracles import decode_index_map, query_index_map_reference
 
 
 @pytest.fixture()
@@ -36,8 +38,10 @@ class TestQueryIndexMap:
         self, pg_engine, tiny_workload, config_with_index
     ):
         evaluator = ConfigurationEvaluator(pg_engine)
-        mapping = evaluator.query_index_map(
-            list(tiny_workload.queries), config_with_index
+        mapping = decode_index_map(
+            evaluator,
+            evaluator.query_index_map(list(tiny_workload.queries), config_with_index),
+            config_with_index,
         )
         join_indexes = {index.name for index in mapping["join_all"]}
         assert "idx_events_user_id2" in join_indexes
@@ -46,8 +50,10 @@ class TestQueryIndexMap:
         self, pg_engine, tiny_workload, config_with_index
     ):
         evaluator = ConfigurationEvaluator(pg_engine)
-        mapping = evaluator.query_index_map(
-            list(tiny_workload.queries), config_with_index
+        mapping = decode_index_map(
+            evaluator,
+            evaluator.query_index_map(list(tiny_workload.queries), config_with_index),
+            config_with_index,
         )
         # kind_filter touches events.kind/payload only.
         assert all(
@@ -110,12 +116,70 @@ class TestQueryIndexMap:
         evaluator = ConfigurationEvaluator(pg_engine)
         age_map = evaluator.query_index_map([by_age], config)
         kind_map = evaluator.query_index_map([by_kind], config)
-        assert {index.name for index in age_map["q"]} == {"idx_users_age"}
-        assert {index.name for index in kind_map["q"]} == {"idx_events_kind"}
+        ages = decode_index_map(evaluator, age_map, config)["q"]
+        kinds = decode_index_map(evaluator, kind_map, config)["q"]
+        assert {index.name for index in ages} == {"idx_users_age"}
+        assert {index.name for index in kinds} == {"idx_events_kind"}
         fresh = ConfigurationEvaluator(
             PostgresEngine(tiny_catalog, caches=False)
         )
         assert kind_map == fresh.query_index_map([by_kind], config)
+
+
+@st.composite
+def index_lists(draw, catalog):
+    """Config index lists on ``catalog``: multi-column indexes, and maybe
+    a repeated entry and one key under a second name."""
+    tables = catalog.tables
+    indexes = []
+    for _ in range(draw(st.integers(0, 10))):
+        table = draw(st.sampled_from(tables))
+        columns = draw(
+            st.lists(
+                st.sampled_from(sorted(table.columns)),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        indexes.append(Index(table.name, tuple(columns)))
+    if indexes and draw(st.booleans()):
+        indexes.append(draw(st.sampled_from(indexes)))
+    if indexes and draw(st.booleans()):
+        twin = draw(st.sampled_from(indexes))
+        indexes.append(Index(twin.table, twin.columns, name=f"{twin.name}_twin"))
+    return draw(st.permutations(indexes))
+
+
+class TestRelevanceMatchesReference:
+    """Masks, decoded over ``index_universe``, against the pair-by-pair
+    relevance oracle in ``tests/oracles/evaluator.py``."""
+
+    @pytest.mark.parametrize("caches", [True, False])
+    @pytest.mark.parametrize("workload", ["tiny_workload", "tpch", "job"])
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_decoded_masks_equal_reference(self, request, workload, caches, data):
+        workload = request.getfixturevalue(workload)
+        queries = list(workload.queries)
+        config = Configuration("c", indexes=data.draw(index_lists(workload.catalog)))
+        evaluator = ConfigurationEvaluator(
+            PostgresEngine(workload.catalog, caches=caches)
+        )
+        universe = evaluator.index_universe(config)
+        assert universe == tuple(sorted(set(config.indexes), key=str))
+        expected = query_index_map_reference(queries, config)
+        pending = queries[data.draw(st.integers(0, len(queries))) :]
+        for subset in (queries, pending, queries):
+            masks = evaluator.query_index_map(subset, config)
+            assert list(masks) == [query.name for query in subset]
+            assert decode_index_map(evaluator, masks, config) == {
+                query.name: expected[query.name] for query in subset
+            }
 
 
 class TestEvaluate:

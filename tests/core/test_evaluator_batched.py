@@ -223,27 +223,63 @@ def meta_label(meta):
 
 
 class TestEvaluateBatchedEqualsScalar:
-    def run_pair(self, workload, timeout, plan=None, **options):
+    def run_pair(
+        self, workload, timeout, plan=None, config=None, preexisting=(), **options
+    ):
         labels = []
         clocks = []
+        builds = []
         for batched in (True, False):
             engine = PostgresEngine(workload.catalog)
+            for index in preexisting:
+                engine.create_index(index)
             if plan is not None:
                 engine.install_faults(plan)
+            built = []
+            create_index = engine.create_index
+
+            def counted_create_index(index, create_index=create_index, built=built):
+                built.append(index)
+                return create_index(index)
+
+            engine.create_index = counted_create_index
             evaluator = ConfigurationEvaluator(engine, **options)
             meta = ConfigMeta()
             with nullcontext() if batched else reference_mode():
                 evaluator.evaluate(
-                    eval_config(), list(workload.queries), timeout, meta
+                    config or eval_config(), list(workload.queries), timeout, meta
                 )
             labels.append(meta_label(meta))
             clocks.append(repr(engine.clock.now))
+            builds.append(built)
         assert labels[0] == labels[1], f"timeout={timeout!r}, plan={plan!r}"
         assert clocks[0] == clocks[1], f"timeout={timeout!r}, plan={plan!r}"
+        assert builds[0] == builds[1], f"timeout={timeout!r}, plan={plan!r}"
 
     def test_lazy_multi_segment(self, tiny_workload):
         for timeout in (0.001, 0.05, 0.5, 10.0):
             self.run_pair(tiny_workload, timeout)
+
+    def test_repeated_and_renamed_indexes(self, tiny_workload):
+        """A repeated entry, one key under two names, and a preexisting
+        index under a third: a build covers every name of its key, as
+        ``has_index`` does in the per-query loop."""
+        config = Configuration(
+            name="renamed-probe",
+            indexes=[
+                Index("events", ("user_id2",)),
+                Index("events", ("user_id2",), name="a_user_id2"),
+                Index("users", ("age",)),
+                Index("users", ("age",)),
+                Index("events", ("kind", "payload")),
+                Index("users", ("country",), name="z_country"),
+            ],
+        )
+        for preexisting in ((), (Index("users", ("country",)),)):
+            for timeout in (0.001, 0.05, 10.0):
+                self.run_pair(
+                    tiny_workload, timeout, config=config, preexisting=preexisting
+                )
 
     def test_eager_indexes_single_segment(self, tiny_workload):
         self.run_pair(tiny_workload, 10.0, lazy_indexes=False)

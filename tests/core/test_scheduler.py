@@ -1,17 +1,20 @@
-"""Query scheduler tests: Equation 1, Algorithm 4, oracle cross-checks."""
+"""Query scheduler tests: Equation 1, Algorithm 4, oracle cross-checks.
+
+The DP takes index masks; these tests state index sets and reach it
+through the oracle encoder (``compute_order_dp_sets``).
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.scheduler import (
     MAX_DP_INPUT,
-    compute_order_dp,
     expected_cost,
     greedy_order,
     marginal_index_cost,
 )
 from repro.errors import SchedulerError
-from tests.oracles import brute_force_order
+from tests.oracles import brute_force_order, compute_order_dp_sets
 
 
 def scenario(index_map, costs):
@@ -70,37 +73,37 @@ class TestDPScheduler:
         index_map, costs = scenario(
             {"q1": {"i1"}, "q2": {"i2"}}, {"i1": 1.0, "i2": 5.0}
         )
-        assert compute_order_dp(["q2", "q1"], index_map, costs) == ["q1", "q2"]
+        assert compute_order_dp_sets(["q2", "q1"], index_map, costs) == ["q1", "q2"]
 
     def test_empty_input(self):
-        assert compute_order_dp([], {}, {}) == []
+        assert compute_order_dp_sets([], {}, {}) == []
 
     def test_single_query(self):
         index_map, costs = scenario({"q": {"a"}}, {"a": 1.0})
-        assert compute_order_dp(["q"], index_map, costs) == ["q"]
+        assert compute_order_dp_sets(["q"], index_map, costs) == ["q"]
 
     def test_queries_without_indexes_first_is_optimal(self):
         index_map, costs = scenario(
             {"free": set(), "costly": {"big"}}, {"big": 100.0}
         )
-        order = compute_order_dp(["costly", "free"], index_map, costs)
+        order = compute_order_dp_sets(["costly", "free"], index_map, costs)
         assert order[0] == "free"
 
     def test_input_cap_enforced(self):
         queries = [f"q{i}" for i in range(MAX_DP_INPUT + 1)]
         with pytest.raises(SchedulerError):
-            compute_order_dp(queries, {}, {})
+            compute_order_dp_sets(queries, {}, {})
 
     def test_duplicate_handles_rejected(self):
         with pytest.raises(SchedulerError):
-            compute_order_dp(["q", "q"], {}, {})
+            compute_order_dp_sets(["q", "q"], {}, {})
 
     def test_preserves_all_queries(self):
         index_map, costs = scenario(
             {"a": {"x"}, "b": {"y"}, "c": {"x", "y"}},
             {"x": 1.0, "y": 2.0},
         )
-        order = compute_order_dp(["a", "b", "c"], index_map, costs)
+        order = compute_order_dp_sets(["a", "b", "c"], index_map, costs)
         assert sorted(order) == ["a", "b", "c"]
 
 
@@ -125,7 +128,7 @@ class TestOptimalityProperties:
     @given(scheduling_instance())
     def test_dp_matches_brute_force(self, instance):
         queries, index_map, costs = instance
-        dp = compute_order_dp(queries, index_map, costs)
+        dp = compute_order_dp_sets(queries, index_map, costs)
         oracle = brute_force_order(queries, index_map, costs)
         assert expected_cost(dp, index_map, costs) == pytest.approx(
             expected_cost(oracle, index_map, costs)
@@ -136,7 +139,7 @@ class TestOptimalityProperties:
     def test_dp_never_worse_than_greedy_or_input_order(self, instance):
         queries, index_map, costs = instance
         dp_cost = expected_cost(
-            compute_order_dp(queries, index_map, costs), index_map, costs
+            compute_order_dp_sets(queries, index_map, costs), index_map, costs
         )
         greedy_cost = expected_cost(
             greedy_order(queries, index_map, costs), index_map, costs
@@ -149,7 +152,7 @@ class TestOptimalityProperties:
     @given(scheduling_instance())
     def test_dp_output_is_permutation(self, instance):
         queries, index_map, costs = instance
-        order = compute_order_dp(queries, index_map, costs)
+        order = compute_order_dp_sets(queries, index_map, costs)
         assert sorted(map(str, order)) == sorted(map(str, queries))
 
     @settings(max_examples=40, deadline=None)

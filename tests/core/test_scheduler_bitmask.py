@@ -2,7 +2,9 @@
 
 The production scheduler (:func:`compute_order_dp`) is a bitmask
 rewrite of the original dict/frozenset Algorithm 4, kept as the test
-oracle ``tests.oracles.compute_order_dp_reference``.  These tests pin
+oracle ``tests.oracles.compute_order_dp_reference``.  The instances
+below are index sets, encoded to masks by the oracle encoder
+(``compute_order_dp_sets``, ``encode_bitmasks``).  These tests pin
 the rewrite to the specification:
 
 - for n <= 8 the bitmask order achieves exactly the brute-force-optimal
@@ -24,11 +26,17 @@ from repro.core.scheduler import (
     MAX_DP_INPUT,
     _dp_parents_scalar,
     _dp_parents_vectorized,
-    _encode_bitmasks,
+    bit_positions,
     compute_order_dp,
     expected_cost,
+    pack_bits,
 )
-from tests.oracles import brute_force_order, compute_order_dp_reference
+from tests.oracles import (
+    brute_force_order,
+    compute_order_dp_reference,
+    compute_order_dp_sets,
+    encode_bitmasks,
+)
 
 
 def _random_instance(rng: random.Random, n_queries: int):
@@ -44,10 +52,13 @@ def _random_instance(rng: random.Random, n_queries: int):
     return list(index_map), index_map, costs
 
 
-def _random_encoded_instance(rng: random.Random, n_queries: int, costs: str):
-    """An encoded DP input: index universes of up to 63 bits, ``costs``
-    random, all zero or all equal, and some repeated index sets."""
-    n_bits = rng.randint(0, 63)
+def _random_encoded_instance(
+    rng: random.Random, n_queries: int, costs: str, bits: tuple = (0, 63)
+):
+    """An encoded DP input: an index universe of ``bits`` bits (a range),
+    ``costs`` random, all zero or all equal, and some repeated index
+    sets."""
+    n_bits = rng.randint(*bits)
     if costs == "zero":
         bit_costs = [0.0] * n_bits
     elif costs == "equal":
@@ -114,7 +125,7 @@ class TestBitmaskMatchesOracle:
     @given(bitmask_instance(max_queries=6))
     def test_cost_equals_brute_force_small(self, instance):
         queries, index_map, costs = instance
-        dp = compute_order_dp(queries, index_map, costs)
+        dp = compute_order_dp_sets(queries, index_map, costs)
         oracle = brute_force_order(queries, index_map, costs)
         assert expected_cost(dp, index_map, costs) == pytest.approx(
             expected_cost(oracle, index_map, costs)
@@ -124,7 +135,7 @@ class TestBitmaskMatchesOracle:
         rng = random.Random(1234)
         for _ in range(15):
             queries, index_map, costs = _random_instance(rng, 8)
-            dp = compute_order_dp(queries, index_map, costs)
+            dp = compute_order_dp_sets(queries, index_map, costs)
             oracle = brute_force_order(queries, index_map, costs)
             assert expected_cost(dp, index_map, costs) == pytest.approx(
                 expected_cost(oracle, index_map, costs)
@@ -136,7 +147,7 @@ class TestBitmaskMatchesReference:
     @given(bitmask_instance(max_queries=8))
     def test_order_identical_to_reference(self, instance):
         queries, index_map, costs = instance
-        assert compute_order_dp(
+        assert compute_order_dp_sets(
             queries, index_map, costs
         ) == compute_order_dp_reference(queries, index_map, costs)
 
@@ -146,7 +157,7 @@ class TestBitmaskMatchesReference:
         rng = random.Random(42 + n_queries)
         for _ in range(5):
             queries, index_map, costs = _random_instance(rng, n_queries)
-            assert compute_order_dp(
+            assert compute_order_dp_sets(
                 queries, index_map, costs
             ) == compute_order_dp_reference(queries, index_map, costs)
 
@@ -158,7 +169,9 @@ class TestScalarVectorizedAgreement:
         rng = random.Random(7 * n_queries)
         for _ in range(4):
             queries, index_map, costs = _random_instance(rng, n_queries)
-            qmasks, bit_costs = _encode_bitmasks(queries, index_map, costs)
+            masks, universe = encode_bitmasks(queries, index_map)
+            qmasks = [masks[query] for query in queries]
+            bit_costs = [costs[index] for index in universe]
             assert len(bit_costs) <= 63
             scalar = _dp_parents_scalar(n_queries, qmasks, bit_costs)
             vectorized = _dp_parents_vectorized(n_queries, qmasks, bit_costs)
@@ -179,6 +192,20 @@ class TestScalarVectorizedAgreement:
             vectorized = _dp_parents_vectorized(n_queries, qmasks, bit_costs)
             assert scalar == vectorized
 
+    @pytest.mark.parametrize("costs", ["random", "zero", "equal"])
+    def test_parents_bit_identical_beyond_63_bits(self, costs):
+        """n = 8..13 over 64-100 index bits: the kernel keeps index bits
+        in Python ints, so universes wider than an int64 take it too."""
+        rng = random.Random(f"beyond-63-{costs}")
+        for _ in range(10):
+            n_queries = rng.randint(8, MAX_DP_INPUT)
+            qmasks, bit_costs = _random_encoded_instance(
+                rng, n_queries, costs, bits=(64, 100)
+            )
+            scalar = _dp_parents_scalar(n_queries, qmasks, bit_costs)
+            vectorized = _dp_parents_vectorized(n_queries, qmasks, bit_costs)
+            assert scalar == vectorized
+
     @pytest.mark.parametrize(
         "shape", ["plain", "solo-bit", "shared-bit", "empty-cluster"]
     )
@@ -193,6 +220,50 @@ class TestScalarVectorizedAgreement:
             assert scalar == vectorized
 
 
+def _spread(mask: int, spread_bits: int) -> int:
+    """``mask`` with bit ``b`` moved to bit ``spread_bits * b + 1``."""
+    return sum(1 << (spread_bits * bit + 1) for bit in bit_positions(mask))
+
+
+class TestMaskInput:
+    """``compute_order_dp`` reads masks over the caller's universe and
+    keeps only the bits some query uses, packed in ascending order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**70 - 1), max_size=12))
+    def test_pack_bits_renumbers_used_bits(self, masks):
+        used = 0
+        for mask in masks:
+            used |= mask
+        positions = bit_positions(used)
+        expected = [
+            sum(1 << rank for rank, bit in enumerate(positions) if mask >> bit & 1)
+            for mask in masks
+        ]
+        assert pack_bits(masks) == (expected, used)
+
+    @pytest.mark.parametrize("n_queries", [5, 9, MAX_DP_INPUT])
+    def test_unused_universe_bits_change_nothing(self, n_queries):
+        """Spreading the used bits across a wider universe, with costs
+        on bits no query uses, gives the same order and the same memo
+        entry."""
+        rng = random.Random(11 * n_queries)
+        for _ in range(3):
+            queries, index_map, costs = _random_instance(rng, n_queries)
+            masks, universe = encode_bitmasks(queries, index_map)
+            bit_costs = [costs[index] for index in universe]
+            memo: dict = {}
+            first = compute_order_dp(queries, masks, bit_costs, memo=memo)
+            spread = {query: _spread(mask, 3) for query, mask in masks.items()}
+            wide_costs = [rng.uniform(0.0, 30.0) for _ in range(3 * len(universe) + 2)]
+            for bit, cost in enumerate(bit_costs):
+                wide_costs[3 * bit + 1] = cost
+            assert compute_order_dp(queries, spread, wide_costs) == first
+            assert compute_order_dp(queries, spread, wide_costs, memo=memo) == first
+            assert len(memo) == 1
+            assert first == compute_order_dp_reference(queries, index_map, costs)
+
+
 class TestOrderMemo:
     def test_hit_with_other_handles_returns_them_in_order(self):
         rng = random.Random(5)
@@ -200,13 +271,13 @@ class TestOrderMemo:
             queries, index_map, costs = _random_instance(rng, n_queries)
             renamed = {f"other-{q}": index_map[q] for q in queries}
             memo: dict = {}
-            first = compute_order_dp(queries, index_map, costs, memo=memo)
-            assert first == compute_order_dp(queries, index_map, costs)
+            first = compute_order_dp_sets(queries, index_map, costs, memo=memo)
+            assert first == compute_order_dp_sets(queries, index_map, costs)
             assert len(memo) == 1
-            hit = compute_order_dp(list(renamed), renamed, costs, memo=memo)
+            hit = compute_order_dp_sets(list(renamed), renamed, costs, memo=memo)
             assert len(memo) == 1
             assert hit == [f"other-{q}" for q in first]
-            assert hit == compute_order_dp(list(renamed), renamed, costs)
+            assert hit == compute_order_dp_sets(list(renamed), renamed, costs)
 
     def test_hit_skips_the_solve(self, monkeypatch):
         import repro.core.scheduler as scheduler_module
@@ -214,15 +285,15 @@ class TestOrderMemo:
         rng = random.Random(6)
         queries, index_map, costs = _random_instance(rng, 10)
         memo: dict = {}
-        first = compute_order_dp(queries, index_map, costs, memo=memo)
+        first = compute_order_dp_sets(queries, index_map, costs, memo=memo)
 
         def no_solve(*args):
             raise AssertionError("DP ran on a memo hit")
 
         monkeypatch.setattr(scheduler_module, "_dp_parents_vectorized", no_solve)
         monkeypatch.setattr(scheduler_module, "_dp_parents_scalar", no_solve)
-        assert compute_order_dp(queries, index_map, costs, memo=memo) == first
+        assert compute_order_dp_sets(queries, index_map, costs, memo=memo) == first
         used = min(index for q in queries for index in index_map[q])
         changed = dict(costs, **{used: costs[used] + 1.0})
         with pytest.raises(AssertionError, match="memo hit"):
-            compute_order_dp(queries, index_map, changed, memo=memo)
+            compute_order_dp_sets(queries, index_map, changed, memo=memo)

@@ -2,7 +2,10 @@
 
 import pytest
 
+import repro.db.engine as engine_module
+from repro.db.engine import shared_plan_cache
 from repro.db.indexes import Index
+from repro.db.postgres import PostgresEngine
 from repro.errors import ConfigurationError, KnobError
 
 
@@ -172,3 +175,43 @@ class TestExecution:
         snapshot = pg_engine.snapshot()
         assert snapshot["system"] == "postgres"
         assert "config" in snapshot and "indexes" in snapshot
+
+
+class TestSharedPlanCacheValve:
+    """The catalog-shared plan cache drops its oldest entries at the cap,
+    so a long-lived process keeps the plans it made last."""
+
+    def test_evicts_oldest_first(self, tiny_catalog, tiny_workload, monkeypatch):
+        monkeypatch.setattr(engine_module, "_MAX_SHARED_CACHE_ENTRIES", 3)
+        engine = PostgresEngine(tiny_catalog)
+        reference = PostgresEngine(tiny_catalog, caches=False)
+        plan_cache = shared_plan_cache(tiny_catalog)
+        inserted = []
+        for work_mem in ("4MB", "64MB", "1GB"):
+            engine.set_knob("work_mem", work_mem)
+            reference.set_knob("work_mem", work_mem)
+            for query in tiny_workload.queries:
+                known = set(plan_cache)
+                result = engine.execute(query)
+                expected = reference.execute(query)
+                assert repr(result.execution_time) == repr(expected.execution_time)
+                inserted.extend(key for key in plan_cache if key not in known)
+                assert len(plan_cache) <= 3
+        assert len(inserted) == 9
+        assert list(plan_cache) == inserted[-3:]
+        assert repr(engine.clock.now) == repr(reference.clock.now)
+
+    def test_batch_larger_than_the_cap(
+        self, tiny_catalog, tiny_workload, monkeypatch
+    ):
+        """A batch planning more queries than the cap evicts its own
+        first plans from the shared cache and still returns them all."""
+        monkeypatch.setattr(engine_module, "_MAX_SHARED_CACHE_ENTRIES", 2)
+        queries = list(tiny_workload.queries)
+        engine = PostgresEngine(tiny_catalog)
+        reference = PostgresEngine(tiny_catalog, caches=False)
+        for _ in range(2):
+            batch = engine.execute_many(queries)
+            expected = reference.execute_many(queries)
+            assert batch.times.tolist() == expected.times.tolist()
+            assert len(shared_plan_cache(tiny_catalog)) == 2

@@ -53,8 +53,9 @@ class TestIndexIdentity:
         ],
     )
     def test_repr_is_the_dataclass_text(self, index):
-        """``str(index)`` orders indexes canonically, so the explicit
-        ``__repr__`` must keep the text dataclass generates."""
+        """``str(index)`` orders a configuration's index universe, the
+        bits of every relevance mask, so it must be the text dataclass
+        generates: it prints all three compared fields."""
         generated = dataclasses.make_dataclass(
             "Index",
             [field.name for field in dataclasses.fields(Index)],

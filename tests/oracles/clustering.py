@@ -1,4 +1,4 @@
-"""K-means as first written: one masked mean per center.
+"""Query clustering and K-means as first written.
 
 :func:`kmeans_reference` runs Lloyd's iterations with one
 ``points[labels == c].mean(axis=0)`` per center, and its k-means++
@@ -6,13 +6,80 @@ seeding recomputes the squared distances to every chosen center at
 each step.  ``repro.core.clustering.kmeans`` updates all centers in
 one pass and keeps a running minimum of those distances; on the binary
 index vectors that clustering passes it returns the same labels.
+
+:func:`cluster_queries_reference` groups queries by frozenset index
+signature, sorts the signatures on ``(len(s), sorted(map(str, s)))``
+and builds the K-means rows with :func:`index_vectors`.
+``repro.core.clustering.cluster_queries`` does the same on masks over
+a universe in ``str`` order; decoded, its clusters equal these.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping, Sequence
+from dataclasses import dataclass, field
+
 import numpy as np
 
+from repro.core.scheduler import MAX_DP_INPUT
 from repro.errors import SchedulerError
+
+
+@dataclass
+class SetCluster:
+    """A cluster whose label is a set of indexes."""
+
+    queries: list = field(default_factory=list)
+    indexes: frozenset = frozenset()
+
+
+def index_vectors(
+    queries: Sequence[Hashable],
+    index_map: Mapping[Hashable, frozenset],
+) -> tuple[np.ndarray, list[Hashable]]:
+    """Binary query-by-index matrix plus the index column order."""
+    all_indexes = sorted(
+        {index for handle in queries for index in index_map.get(handle, frozenset())},
+        key=str,
+    )
+    position = {index: column for column, index in enumerate(all_indexes)}
+    matrix = np.zeros((len(queries), max(1, len(all_indexes))), dtype=float)
+    for row, handle in enumerate(queries):
+        for index in index_map.get(handle, frozenset()):
+            matrix[row, position[index]] = 1.0
+    return matrix, all_indexes
+
+
+def cluster_queries_reference(
+    queries: Sequence[Hashable],
+    index_map: Mapping[Hashable, frozenset],
+    *,
+    max_clusters: int = MAX_DP_INPUT,
+    seed: int = 0,
+) -> list[SetCluster]:
+    """Group queries into at most ``max_clusters`` clusters."""
+    if not queries:
+        return []
+    by_signature: dict[frozenset, list] = {}
+    for handle in queries:
+        signature = frozenset(index_map.get(handle, frozenset()))
+        by_signature.setdefault(signature, []).append(handle)
+
+    signatures = sorted(by_signature, key=lambda s: (len(s), sorted(map(str, s))))
+    if len(signatures) <= max_clusters:
+        return [
+            SetCluster(queries=list(by_signature[signature]), indexes=signature)
+            for signature in signatures
+        ]
+
+    matrix, _ = index_vectors(signatures, {s: s for s in signatures})
+    labels = kmeans_reference(matrix, max_clusters, seed=seed).tolist()
+    clusters: dict[int, SetCluster] = {}
+    for signature, label in zip(signatures, labels):
+        cluster = clusters.setdefault(int(label), SetCluster())
+        cluster.queries.extend(by_signature[signature])
+        cluster.indexes = cluster.indexes | signature
+    return [clusters[label] for label in sorted(clusters)]
 
 
 def kmeans_reference(

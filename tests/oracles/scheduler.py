@@ -1,4 +1,5 @@
-"""Algorithm 4 as first written, and a brute-force order oracle.
+"""Algorithm 4 as first written, a brute-force order oracle, and the
+encoder between index sets and masks.
 
 :func:`compute_order_dp_reference` keeps DP states as dicts of
 frozensets and orders as tuples, summing costs in the same canonical
@@ -6,6 +7,11 @@ frozensets and orders as tuples, summing costs in the same canonical
 ``1e-12`` rule as ``repro.core.scheduler.compute_order_dp``, so the two
 return identical orders.  :func:`brute_force_order` minimizes
 Equation 1 over every permutation.
+
+``src/`` passes index sets as int masks over a universe in ``str``
+order.  :func:`encode_bitmasks` builds that encoding from a handle ->
+frozenset map, over the union of the sets, and :func:`decode_mask`
+reverses it; tests that state their inputs as sets go through them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Hashable, Mapping, Sequence
 
-from repro.core.scheduler import _EPS, _checked_handles, expected_cost
+from repro.core.scheduler import (
+    _EPS,
+    _checked_handles,
+    compute_order_dp,
+    expected_cost,
+)
 from repro.errors import SchedulerError
 
 
@@ -73,10 +84,54 @@ def compute_order_dp_reference(
     return [handles[i] for i in dp_order[full]]
 
 
-def compute_order_dp_adapter(queries, index_map, index_cost, *, memo=None):
+def encode_bitmasks(
+    queries: Sequence[Hashable], index_map: Mapping[Hashable, frozenset]
+) -> tuple[dict[Hashable, int], list]:
+    """``(handle -> mask, universe)``: the union of the queries' index
+    sets sorted by ``str``, bit ``b`` standing for ``universe[b]``."""
+    index_sets = [index_map.get(handle, frozenset()) for handle in queries]
+    universe = sorted({index for s in index_sets for index in s}, key=str)
+    bit_of = {index: bit for bit, index in enumerate(universe)}
+    masks = {
+        handle: sum(1 << bit_of[index] for index in index_set)
+        for handle, index_set in zip(queries, index_sets)
+    }
+    return masks, universe
+
+
+def decode_mask(mask: int, universe: Sequence) -> frozenset:
+    """The members of ``universe`` at the set bits of ``mask``."""
+    assert mask >> len(universe) == 0, "mask has bits beyond the universe"
+    return frozenset(item for bit, item in enumerate(universe) if mask >> bit & 1)
+
+
+def compute_order_dp_sets(
+    queries: Sequence[Hashable],
+    index_map: Mapping[Hashable, frozenset],
+    index_cost: Mapping[Hashable, float],
+    *,
+    memo: dict | None = None,
+) -> list[Hashable]:
+    """``compute_order_dp`` on a handle -> index set map, encoded by
+    :func:`encode_bitmasks`."""
+    masks, universe = encode_bitmasks(queries, index_map)
+    bit_costs = [index_cost[index] for index in universe]
+    return compute_order_dp(queries, masks, bit_costs, memo=memo)
+
+
+def compute_order_dp_adapter(queries, masks, bit_costs, *, memo=None):
     """:func:`compute_order_dp_reference` behind ``compute_order_dp``'s
-    call shape; the memo is a cache, so the reference ignores it."""
-    return compute_order_dp_reference(queries, index_map, index_cost)
+    call shape.  Bit ``b`` becomes the zero-padded label of ``b``, so
+    label ``str`` order is bit order; the memo is a cache, so the
+    reference ignores it."""
+    width = len(str(len(bit_costs)))
+    labels = [f"{bit:0{width}d}" for bit in range(len(bit_costs))]
+    index_map = {
+        handle: decode_mask(masks.get(handle, 0), labels) for handle in queries
+    }
+    return compute_order_dp_reference(
+        queries, index_map, dict(zip(labels, bit_costs))
+    )
 
 
 def brute_force_order(
